@@ -3,7 +3,7 @@
 // thesis artifact — these document the harness' own capacity, i.e. how
 // large an overlay simulation the repository can drive.
 //
-// Set PH_METRICS_JSON=/path/out.json (or PH_METRICS_CSV) to also dump a
+// Set PH_METRICS_JSON=/path/out.json to also dump a
 // `sim.kernel.*` snapshot — one deterministic run of the schedule/run and
 // cancel workloads with event counts and wall-clock throughput — at exit.
 #include <benchmark/benchmark.h>
@@ -57,23 +57,16 @@ void BM_SimulatorCascade(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulatorCascade)->Arg(1'000)->Arg(10'000);
 
-// --- event queue: timer wheel vs binary heap -------------------------------
-// Steady-state schedule/fire churn on the raw queues at a fixed pending-set
-// size: pop the earliest event, schedule a replacement. This isolates the
-// queue data structure (arg 1: 0 = binary heap reference, 1 = timer wheel)
-// from the rest of the kernel; the heap pays an O(log n) sift per op while
-// the wheel pays O(1) bucket filing plus amortized slot drains.
+// --- event queue -----------------------------------------------------------
+// Steady-state schedule/fire churn on the raw timer wheel at a fixed
+// pending-set size: pop the earliest event, schedule a replacement. This
+// isolates the queue data structure from the rest of the kernel: O(1)
+// bucket filing plus amortized slot drains.
 
 void BM_EventQueue(benchmark::State& state) {
   const std::size_t pending = static_cast<std::size_t>(state.range(0));
-  const bool use_wheel = state.range(1) != 0;
   sim::FlatIdSet live;
-  std::unique_ptr<sim::EventQueue> queue;
-  if (use_wheel) {
-    queue = std::make_unique<sim::TimerWheelQueue>(live);
-  } else {
-    queue = std::make_unique<sim::BinaryHeapQueue>(live);
-  }
+  sim::TimerWheelQueue queue(live);
   std::mt19937_64 rng(12345);
   const sim::Duration horizon = 10'000'000;  // 10 s spread
   sim::Time now = 0;
@@ -81,53 +74,44 @@ void BM_EventQueue(benchmark::State& state) {
   for (std::size_t i = 0; i < pending; ++i) {
     const sim::EventId id = next_id++;
     live.insert(id);
-    queue->push(now + rng() % horizon, id, sim::EventFn([] {}));
+    queue.push(now + rng() % horizon, id, sim::EventFn([] {}));
   }
   sim::QueueEntry out;
   for (auto _ : state) {
-    queue->pop_next(~sim::Time{0}, out);
+    queue.pop_next(~sim::Time{0}, out);
     live.erase(out.id);
     now = out.when;
     const sim::EventId id = next_id++;
     live.insert(id);
-    queue->push(now + rng() % horizon, id, sim::EventFn([] {}));
+    queue.push(now + rng() % horizon, id, sim::EventFn([] {}));
     benchmark::DoNotOptimize(out.id);
   }
   state.SetItemsProcessed(state.iterations());
-  state.SetLabel(use_wheel ? "wheel" : "heap");
 }
-BENCHMARK(BM_EventQueue)
-    ->ArgsProduct({{1'000, 100'000, 1'000'000}, {0, 1}});
+BENCHMARK(BM_EventQueue)->Arg(1'000)->Arg(100'000)->Arg(1'000'000);
 
 // Steady-state cancel churn: schedule far-future events and cancel them,
 // the monitoring-timeout pattern (arm a watchdog, cancel it when the reply
 // arrives). Exercises FlatIdSet membership and lazy-compaction.
 void BM_EventQueueCancel(benchmark::State& state) {
-  const bool use_wheel = state.range(0) != 0;
   sim::FlatIdSet live;
-  std::unique_ptr<sim::EventQueue> queue;
-  if (use_wheel) {
-    queue = std::make_unique<sim::TimerWheelQueue>(live);
-  } else {
-    queue = std::make_unique<sim::BinaryHeapQueue>(live);
-  }
+  sim::TimerWheelQueue queue(live);
   sim::EventId next_id = 1;
   for (auto _ : state) {
     const sim::EventId id = next_id++;
     live.insert(id);
-    queue->push(sim::Time{next_id} + 1'000'000, id, sim::EventFn([] {}));
+    queue.push(sim::Time{next_id} + 1'000'000, id, sim::EventFn([] {}));
     live.erase(id);
-    queue->note_cancelled();
-    benchmark::DoNotOptimize(queue->stored());
+    queue.note_cancelled();
+    benchmark::DoNotOptimize(queue.stored());
   }
   state.SetItemsProcessed(state.iterations());
-  state.SetLabel(use_wheel ? "wheel" : "heap");
 }
-BENCHMARK(BM_EventQueueCancel)->Arg(0)->Arg(1);
+BENCHMARK(BM_EventQueueCancel);
 
 // End-to-end dispatch through the Simulator: a thousand self-rescheduling
 // chains (the periodic-work shape chaos_soak runs at scale), measured as
-// executed events per wall second. arg: 0 = binary heap, 1 = timer wheel.
+// executed events per wall second.
 
 void arm_bench_chain(sim::Simulator& simulator, sim::Duration period) {
   simulator.schedule(period, [&simulator, period] {
@@ -136,13 +120,12 @@ void arm_bench_chain(sim::Simulator& simulator, sim::Duration period) {
 }
 
 void BM_Dispatch(benchmark::State& state) {
-  sim::Simulator simulator(state.range(0) != 0 ? sim::Simulator::QueueImpl::timer_wheel
-                                               : sim::Simulator::QueueImpl::binary_heap);
+  sim::Simulator simulator;
   std::mt19937_64 rng(777);
   for (int i = 0; i < 1'000; ++i) {
     arm_bench_chain(simulator, 500 + rng() % 50'000);
   }
-  simulator.run_for(sim::seconds(1.0));  // warm slot vectors / heap capacity
+  simulator.run_for(sim::seconds(1.0));  // warm slot vectors
   std::uint64_t executed = simulator.events_executed();
   for (auto _ : state) {
     simulator.run_for(sim::milliseconds(100));
@@ -150,9 +133,8 @@ void BM_Dispatch(benchmark::State& state) {
   }
   state.SetItemsProcessed(
       static_cast<int64_t>(simulator.events_executed() - executed));
-  state.SetLabel(state.range(0) != 0 ? "wheel" : "heap");
 }
-BENCHMARK(BM_Dispatch)->Arg(0)->Arg(1);
+BENCHMARK(BM_Dispatch);
 
 void BM_SimulatorCancel(benchmark::State& state) {
   for (auto _ : state) {
@@ -171,24 +153,18 @@ BENCHMARK(BM_SimulatorCancel);
 
 // --- radio-world proximity queries -----------------------------------------
 // A random-waypoint crowd at constant density (the overlay-scale regime):
-// arg 0 = N devices, arg 1 = 1 for the spatial-index path, 0 for the
-// brute-force reference. Every iteration advances virtual time so the
+// arg = N devices. Every iteration advances virtual time so the
 // position cache and grid are invalidated and rebuilt exactly as they are
 // in a live discovery round — this measures the steady-state query cost,
 // not a warm-cache fiction.
 
 struct RadioWorld {
   sim::Simulator simulator;
-  std::unique_ptr<net::Medium> medium;
+  net::Medium medium{simulator, sim::Rng(99)};
   net::TechProfile bt = net::bluetooth_2_0();
   int devices = 0;
 
-  RadioWorld(int n, bool fast_path) : devices(n) {
-    net::MediumConfig config;
-    config.use_spatial_index = fast_path;
-    config.use_position_cache = fast_path;
-    config.use_signal_cache = fast_path;
-    medium = std::make_unique<net::Medium>(simulator, sim::Rng(99), config);
+  explicit RadioWorld(int n) : devices(n) {
     sim::Rng walkers(7);
     // Field area ∝ N: the 40-devices-on-60×60-m crowd density.
     const double field = 60.0 * std::sqrt(static_cast<double>(n) / 40.0);
@@ -196,28 +172,27 @@ struct RadioWorld {
       sim::RandomWaypoint::Config walk;
       walk.area_min = {0, 0};
       walk.area_max = {field, field};
-      const net::NodeId id = medium->add_node(
+      const net::NodeId id = medium.add_node(
           "n" + std::to_string(i),
           std::make_unique<sim::RandomWaypoint>(walk, walkers.fork()));
-      medium->add_adapter(id, bt);
+      medium.add_adapter(id, bt);
     }
   }
 };
 
 void BM_NodesInRange(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
-  RadioWorld world(n, state.range(1) != 0);
+  RadioWorld world(n);
   net::NodeId probe = 1;
   for (auto _ : state) {
     world.simulator.run_for(sim::milliseconds(100));  // new timestamp
-    auto peers = world.medium->nodes_in_range(probe, world.bt);
+    auto peers = world.medium.nodes_in_range(probe, world.bt);
     benchmark::DoNotOptimize(peers);
     probe = probe % static_cast<net::NodeId>(n) + 1;
   }
   state.SetItemsProcessed(state.iterations());
-  state.SetLabel(state.range(1) != 0 ? "grid" : "brute");
 }
-BENCHMARK(BM_NodesInRange)->ArgsProduct({{32, 256, 1024}, {0, 1}});
+BENCHMARK(BM_NodesInRange)->Arg(32)->Arg(256)->Arg(1024);
 
 void BM_Signal(benchmark::State& state) {
   // 32 distinct pair samples per timestamp — the shape of a monitoring
@@ -225,7 +200,7 @@ void BM_Signal(benchmark::State& state) {
   // mobility sampling (the per-pair signal memo cannot help: every pair
   // is fresh, so this measures the memoization layer's overhead too).
   const int n = static_cast<int>(state.range(0));
-  RadioWorld world(n, state.range(1) != 0);
+  RadioWorld world(n);
   net::NodeId a = 1;
   for (auto _ : state) {
     world.simulator.run_for(sim::milliseconds(100));
@@ -233,15 +208,14 @@ void BM_Signal(benchmark::State& state) {
     for (int i = 0; i < 32; ++i) {
       const net::NodeId b =
           static_cast<net::NodeId>((a + i) % static_cast<net::NodeId>(n)) + 1;
-      sum += world.medium->signal(a, b, world.bt);
+      sum += world.medium.signal(a, b, world.bt);
     }
     benchmark::DoNotOptimize(sum);
     a = a % static_cast<net::NodeId>(n) + 1;
   }
   state.SetItemsProcessed(state.iterations() * 32);
-  state.SetLabel(state.range(1) != 0 ? "cached" : "uncached");
 }
-BENCHMARK(BM_Signal)->ArgsProduct({{32, 256, 1024}, {0, 1}});
+BENCHMARK(BM_Signal)->Arg(32)->Arg(256)->Arg(1024);
 
 proto::Response heavy_response() {
   proto::Response response;
@@ -301,20 +275,14 @@ void BM_DecodeDaemonMessage(benchmark::State& state) {
 BENCHMARK(BM_DecodeDaemonMessage);
 
 // Records one deterministic pass of the kernel workloads into `metrics`.
-// The binary-heap queue's throughput shows up as `events_per_sec` (the
-// old std::map queue managed roughly a third of it on the same workload);
-// the cancel workload documents lazy cancellation: O(1) erase, stale
-// entries compacted away once they outnumber live ones 4:1.
+// The schedule/run workload's wall-clock throughput shows up as
+// `events_per_sec`; the cancel workload documents lazy cancellation: O(1)
+// erase, stale entries compacted away once they dominate.
 void record_kernel_metrics(obs::Registry& metrics) {
-  // The schedule/run workload runs once per queue implementation. The
-  // event counts are deterministic and identical (the wheel's ordering
-  // contract); only the wall-clock throughput differs, recorded under
-  // `events_per_sec` (timer wheel, the default) and `heap_events_per_sec`.
-  for (const bool use_wheel : {true, false}) {
+  {
     constexpr int kEvents = 100'000;
     const auto wall_start = std::chrono::steady_clock::now();
-    sim::Simulator simulator(use_wheel ? sim::Simulator::QueueImpl::timer_wheel
-                                       : sim::Simulator::QueueImpl::binary_heap);
+    sim::Simulator simulator;
     for (int i = 0; i < kEvents; ++i) {
       simulator.schedule(sim::milliseconds(i % 1000), [] {});
     }
@@ -323,15 +291,11 @@ void record_kernel_metrics(obs::Registry& metrics) {
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       wall_start)
             .count();
-    if (use_wheel) {
-      metrics.counter("sim.kernel.schedule_run_events")
-          .inc(simulator.events_executed());
-      metrics.gauge("sim.kernel.schedule_run_wall_s").set(wall_s);
-      if (wall_s > 0) {
-        metrics.gauge("sim.kernel.events_per_sec").set(kEvents / wall_s);
-      }
-    } else if (wall_s > 0) {
-      metrics.gauge("sim.kernel.heap_events_per_sec").set(kEvents / wall_s);
+    metrics.counter("sim.kernel.schedule_run_events")
+        .inc(simulator.events_executed());
+    metrics.gauge("sim.kernel.schedule_run_wall_s").set(wall_s);
+    if (wall_s > 0) {
+      metrics.gauge("sim.kernel.events_per_sec").set(kEvents / wall_s);
     }
   }
   {
@@ -382,8 +346,6 @@ int main(int argc, char** argv) {
       metrics.gauge("sim.kernel.schedule_run_wall_s").value();
   report.info["events_per_sec"] =
       metrics.gauge("sim.kernel.events_per_sec").value();
-  report.info["heap_events_per_sec"] =
-      metrics.gauge("sim.kernel.heap_events_per_sec").value();
   obs::dump_bench_report_if_requested(report, &metrics);
 
   obs::dump_if_requested(metrics);

@@ -24,9 +24,6 @@
 //                          field edge in metres; `auto` scales the area to
 //                          hold the 40-device baseline density (crowd
 //                          scaling at constant density)
-//   --brute                brute-force reference path (spatial index and
-//                          position cache off) for A/B comparisons
-//   --cell=M               spatial grid cell edge override in metres
 //
 // Parallel sharded-medium sweep (ParallelWorld on the ShardedKernel —
 // city-scale crowds, constant density, medium hot path only):
@@ -75,8 +72,6 @@ struct Options {
   double window_min = 10.0;
   double field_m = 60.0;  // 6 Bluetooth ranges across
   bool auto_field = false;
-  bool brute = false;
-  double cell_m = 0.0;
   std::vector<int> parallel_devices = {64};
   std::vector<unsigned> threads = {1, 2};
   unsigned shards = 8;
@@ -104,13 +99,8 @@ double field_for(const Options& options, int devices) {
 
 Metrics run_crowd(const Options& options, int devices, obs::Registry& dump) {
   sim::Simulator simulator;
-  net::MediumConfig config;
-  config.use_spatial_index = !options.brute;
-  config.use_position_cache = !options.brute;
-  config.use_signal_cache = !options.brute;
-  config.spatial_cell_m = options.cell_m;
   const std::uint64_t seed = options.seed + static_cast<std::uint64_t>(devices);
-  net::Medium medium(simulator, sim::Rng(seed), config);
+  net::Medium medium(simulator, sim::Rng(seed));
   sim::Rng mobility(seed * 17 + 3);
   const double field = field_for(options, devices);
   const sim::Duration window = sim::minutes(options.window_min);
@@ -284,14 +274,10 @@ bool parse_args(int argc, char** argv, Options& options) {
         options.field_m = std::atof(v4);
         if (options.field_m <= 0) return false;
       }
-    } else if (const char* v5 = value_of("--cell")) {
-      options.cell_m = std::atof(v5);
-    } else if (arg == "--brute") {
-      options.brute = true;
     } else if (arg == "--help" || arg == "-h") {
       std::printf(
           "usage: bench_overlay_scale [--devices=5,10,20,40|none] [--seed=N]\n"
-          "       [--window-min=M] [--field=60|auto] [--brute] [--cell=M]\n"
+          "       [--window-min=M] [--field=60|auto]\n"
           "       [--parallel-devices=64|none] [--threads=1,2] [--shards=8]\n"
           "       [--ops=SOCKET_PATH]\n");
       return false;
@@ -381,14 +367,13 @@ int main(int argc, char** argv) {
 
   std::printf("Overlay-scale dynamic group discovery (future work #2):\n");
   std::printf(
-      "random-waypoint crowd, %s field, %.0f simulated minutes, %s path\n\n",
+      "random-waypoint crowd, %s field, %.0f simulated minutes\n\n",
       options.auto_field ? "constant-density (auto)"
                          : (std::to_string(static_cast<int>(options.field_m)) +
                             "x" + std::to_string(static_cast<int>(options.field_m)) +
                             " m")
                                .c_str(),
-      options.window_min,
-      options.brute ? "brute-force" : "spatial-index");
+      options.window_min);
   std::printf("%8s %20s %16s %20s %14s %14s %10s %9s\n", "devices",
               "group events/dev/min", "comparisons/dev", "control msgs/dev/min",
               "bytes/dev/min", "signal evals", "cache hit", "sim/wall");
@@ -402,7 +387,6 @@ int main(int argc, char** argv) {
   report.env["field"] = options.auto_field
                             ? std::string("auto")
                             : std::to_string(options.field_m);
-  report.env["path"] = options.brute ? "brute" : "indexed";
   report.env["shards"] = std::to_string(options.shards);
   for (int n : options.devices) {
     const Metrics m = run_crowd(options, n, dump);
@@ -522,8 +506,7 @@ int main(int argc, char** argv) {
       "\nExpected shape: per-device costs grow roughly linearly with crowd\n"
       "density (pings and service queries are per-neighbour). With the\n"
       "spatial index the simulator's own cost per discovery round is O(k)\n"
-      "in the neighbourhood size instead of O(N) over the whole crowd —\n"
-      "compare a --brute run's `signal evals` column at equal N.\n");
+      "in the neighbourhood size instead of O(N) over the whole crowd.\n");
   if (options.devices.empty() && last_world != nullptr) {
     // Parallel-only run: the dump of record is the sharded world itself —
     // the artifact ph_chaos_determinism byte-compares across --threads.

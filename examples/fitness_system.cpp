@@ -107,10 +107,10 @@ int main() {
   simulator.schedule(sim::seconds(60), [&] {
     std::printf("[t=%5.1fs] belt radio glitch...\n",
                 sim::to_seconds(simulator.now()));
-    belt.set_radio_powered(net::Technology::bluetooth, false);
+    PH_CHECK(belt.set_radio_powered(net::Technology::bluetooth, false).ok());
   });
   simulator.schedule(sim::seconds(62), [&] {
-    belt.set_radio_powered(net::Technology::bluetooth, true);
+    PH_CHECK(belt.set_radio_powered(net::Technology::bluetooth, true).ok());
   });
 
   simulator.run_until(sim::minutes(4));

@@ -15,8 +15,8 @@ namespace {
 constexpr int kMaxRetransmissions = 5;
 }  // namespace
 
-Medium::Medium(sim::Simulator& simulator, sim::Rng rng, MediumConfig config)
-    : simulator_(simulator), rng_(rng), config_(config) {
+Medium::Medium(sim::Simulator& simulator, sim::Rng rng)
+    : simulator_(simulator), rng_(rng) {
   // NodeIds are dense from 1; slot 0 of every per-node array is a
   // placeholder so arrays index directly by id.
   node_names_.emplace_back();
@@ -119,9 +119,6 @@ std::map<std::uint64_t, std::string> Medium::trace_device_names() const {
 
 sim::Vec2 Medium::position(NodeId node) const {
   const sim::Time now = simulator_.now();
-  if (!config_.use_position_cache) {
-    return node_mobility_.at(node)->position_at(now);
-  }
   if (pos_cache_at_[node] == now) {
     c_position_hits_->inc();
     return pos_cache_[node];
@@ -190,8 +187,9 @@ Adapter& Medium::add_adapter(NodeId node, TechProfile profile) {
   adapter_lut_[node][ti] = &ref;
   TechAdapters& ta = tech_adapters_[ti];
   // Keep the per-technology arrays sorted by node id so the grid path and
-  // the brute-force path evaluate candidates in the same order (matching
-  // the old full-map scan); order is what keeps RNG consumption identical.
+  // the per-technology scan both evaluate candidates in node-id order (the
+  // old full-map scan's order); order is what keeps RNG consumption
+  // identical.
   const std::size_t at = static_cast<std::size_t>(
       std::lower_bound(ta.ids.begin(), ta.ids.end(), node) - ta.ids.begin());
   ta.ids.insert(ta.ids.begin() + static_cast<std::ptrdiff_t>(at), node);
@@ -241,10 +239,6 @@ double falloff(double distance_m, double range_m) {
 
 double Medium::signal(NodeId a, NodeId b, const TechProfile& profile) const {
   if (a == b) return 0.0;
-  if (!config_.use_signal_cache) {
-    c_signal_evals_->inc();
-    return signal_physics(a, b, profile);
-  }
   const sim::Time now = simulator_.now();
   if (signal_memo_at_ != now || signal_memo_epoch_ != world_epoch_) {
     signal_memo_.clear();
@@ -327,10 +321,9 @@ void Medium::ensure_spatial(Technology tech) const {
   for (const NodeId id : ta.ids) {
     ta.positions.push_back(position(id));
   }
-  const double cell = config_.spatial_cell_m > 0.0
-                          ? config_.spatial_cell_m
-                          : std::max(1.0, ta.max_range_m * 0.5);
-  ta.grid.rebuild(cell, ta.positions);
+  // Half the technology's largest adapter range bounds a query's bounding
+  // box to ~6 cells per axis.
+  ta.grid.rebuild(std::max(1.0, ta.max_range_m * 0.5), ta.positions);
   ta.built_at = now;
   ta.built = true;
   ta.dirty = false;
@@ -347,7 +340,7 @@ std::vector<NodeId> Medium::nodes_in_range(NodeId node,
   // take the per-technology scan (already far smaller than the old
   // all-adapters map walk).
   const bool direct = !profile.via_gateway && !profile.infrastructure;
-  if (config_.use_spatial_index && direct && !ta.ids.empty()) {
+  if (direct && !ta.ids.empty()) {
     ensure_spatial(profile.tech);
     spatial_scratch_.clear();
     const SpatialGrid::QueryStats qs =

@@ -35,32 +35,6 @@
 
 namespace ph::net {
 
-/// Tuning knobs for the world's proximity machinery. The defaults are the
-/// fast path; the brute-force switches exist for A/B validation (the
-/// spatial property test runs one world of each and asserts bit-identical
-/// results) and for honest baseline numbers in the scale benches.
-struct MediumConfig {
-  /// Route direct-radio range queries through the uniform-grid index
-  /// (O(k) candidates per query) instead of scanning every same-technology
-  /// adapter (O(N)). Results are identical either way — the grid is a pure
-  /// prune and the exact reachability predicate is always re-applied.
-  bool use_spatial_index = true;
-  /// Memoize MobilityModel::position_at per (node, virtual timestamp) so a
-  /// signal() evaluation costs at most one mobility sample per endpoint
-  /// instead of 2–4 virtual-dispatch samples per call.
-  bool use_position_cache = true;
-  /// Memoize signal() per (ordered pair, profile shape, virtual timestamp).
-  /// Hot paths evaluate the same pair several times inside one timestamp —
-  /// the delivery-time reachability recheck plus the receiver's signal
-  /// sample — and the memo collapses those to one physics evaluation.
-  /// Anything that can change signal mid-timestamp (adapter power, AP
-  /// state, mobility swaps, fault-plane ramps) bumps an epoch clearing it.
-  bool use_signal_cache = true;
-  /// Grid cell edge in metres; 0 = auto (half the technology's largest
-  /// adapter range, which bounds a query's bounding box to ~6 cells/axis).
-  double spatial_cell_m = 0.0;
-};
-
 class Medium {
  public:
   /// Per-technology byte accounting. The thesis' cost argument ("the cost
@@ -75,7 +49,7 @@ class Medium {
     std::uint64_t total_bytes() const { return datagram_bytes + link_bytes; }
   };
 
-  Medium(sim::Simulator& simulator, sim::Rng rng, MediumConfig config = {});
+  Medium(sim::Simulator& simulator, sim::Rng rng);
   Medium(const Medium&) = delete;
   Medium& operator=(const Medium&) = delete;
   ~Medium();
@@ -119,9 +93,16 @@ class Medium {
   bool reachable(NodeId a, NodeId b, const TechProfile& profile) const;
 
   /// Signal strength in [0,1]: 1 at zero distance, 0 at/beyond range.
+  /// Memoized per (unordered pair, profile shape, virtual timestamp), with
+  /// positions memoized per (node, timestamp): hot paths evaluate the same
+  /// pair several times inside one timestamp (the delivery-time recheck
+  /// plus the receiver's signal sample) and pay for one evaluation.
   double signal(NodeId a, NodeId b, const TechProfile& profile) const;
 
-  /// Powered same-technology peers currently in range of `node`.
+  /// Powered same-technology peers currently in range of `node`, in
+  /// node-id order. Direct radios are pruned through a per-timestamp
+  /// uniform grid (O(k) candidates instead of O(N)); the exact
+  /// reachability predicate is always re-applied to what survives.
   std::vector<NodeId> nodes_in_range(NodeId node, const TechProfile& profile) const;
 
   /// Open links currently carried by `node`'s `tech` radio (piconet load).
@@ -132,8 +113,6 @@ class Medium {
   /// Exposed so tests can assert the registry does not grow without bound
   /// across long open/close churn.
   std::size_t tracked_link_count() const noexcept { return links_.size(); }
-
-  const MediumConfig& config() const noexcept { return config_; }
 
   /// Typed view of the registry's `net.medium.*` instruments
   /// (`stats().counter("datagrams_sent")`, ...); the registry is the
@@ -235,11 +214,11 @@ class Medium {
 
   /// Everything the proximity queries need about one technology, in
   /// structure-of-arrays form: parallel vectors sorted by node id
-  /// (mirroring the old brute-force full-map scan order — order is what
-  /// keeps RNG consumption identical), so the range-query hot loop walks
-  /// two flat arrays (ids, powered bytes) instead of chasing adapter
-  /// pointers. Power state is deliberately NOT an invalidation trigger —
-  /// it is filtered at query time, exactly like the brute-force path.
+  /// (mirroring the old full-map scan order — order is what keeps RNG
+  /// consumption identical), so the range-query hot loop walks two flat
+  /// arrays (ids, powered bytes) instead of chasing adapter pointers.
+  /// Power state is deliberately NOT an invalidation trigger — it is
+  /// filtered at query time, on the grid path and the scan alike.
   struct TechAdapters {
     std::vector<Adapter*> list;          // sorted by node id; never die
     std::vector<NodeId> ids;             // list[i]->node()
@@ -283,7 +262,6 @@ class Medium {
 
   sim::Simulator& simulator_;
   sim::Rng rng_;
-  MediumConfig config_;
   obs::Registry registry_;
   obs::Trace trace_;
   // Node state in structure-of-arrays form, indexed by NodeId (ids are

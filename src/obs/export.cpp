@@ -272,40 +272,6 @@ std::string series_to_json(const Sampler& sampler, const SloEngine* slo) {
   return out;
 }
 
-std::string to_csv(const Registry& registry) {
-  std::string out = "kind,name,field,value\n";
-  char buf[64];
-  auto row = [&](const char* kind, const std::string& name, const char* field,
-                 double value) {
-    out += kind;
-    out += ',';
-    out += name;  // convention forbids commas/quotes in metric names
-    out += ',';
-    out += field;
-    out += ',';
-    std::snprintf(buf, sizeof(buf), "%.17g", value);
-    out += buf;
-    out += '\n';
-  };
-  for (const auto& [name, c] : registry.counters()) {
-    row("counter", name, "value", static_cast<double>(c->value()));
-  }
-  for (const auto& [name, g] : registry.gauges()) {
-    row("gauge", name, "value", g->value());
-  }
-  for (const auto& [name, h] : registry.histograms()) {
-    row("histogram", name, "count", static_cast<double>(h->count()));
-    row("histogram", name, "sum", h->sum());
-    row("histogram", name, "min", h->min());
-    row("histogram", name, "max", h->max());
-    row("histogram", name, "mean", h->mean());
-    row("histogram", name, "p50", h->p50());
-    row("histogram", name, "p95", h->p95());
-    row("histogram", name, "p99", h->p99());
-  }
-  return out;
-}
-
 std::string to_chrome_trace(
     const Trace& trace,
     const std::map<std::uint64_t, std::string>& device_names,
@@ -473,14 +439,6 @@ bool dump_if_requested(const Registry& registry, const Trace* trace,
                    "obs: PH_SERIES_JSON set but this tool records no series\n");
     } else if (write_file(path, series_to_json(*sampler, slo))) {
       std::fprintf(stderr, "obs: series JSON written to %s\n", path);
-    } else {
-      ok = false;
-    }
-  }
-  if (const char* path = std::getenv("PH_METRICS_CSV");
-      path != nullptr && *path != '\0') {
-    if (write_file(path, to_csv(registry))) {
-      std::fprintf(stderr, "obs: metrics CSV written to %s\n", path);
     } else {
       ok = false;
     }

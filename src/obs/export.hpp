@@ -1,5 +1,5 @@
 // Exporters for the observability core: registry (+ optional trace) to
-// JSON or CSV, the trace journal to Chrome trace-event JSON (openable in
+// JSON, the trace journal to Chrome trace-event JSON (openable in
 // Perfetto / chrome://tracing), plus the env-var hooks every bench main
 // calls at exit.
 //
@@ -28,9 +28,6 @@
 // ("series"/"slo" appear only when a sampler / SLO engine is supplied,
 // "spans"/"events" only when a trace is.)
 //
-// CSV shape (one instrument field per row):
-//   kind,name,field,value
-//
 // Chrome trace shape: {"traceEvents":[...]} with one track (pid=tid=
 // device id) per device, "X" complete events for closed spans, "B" for
 // still-open ones, "i" instants for point events, "s"/"f" flow arrows
@@ -54,7 +51,6 @@ namespace ph::obs {
 std::string to_json(const Registry& registry, const Trace* trace = nullptr,
                     const Sampler* sampler = nullptr,
                     const SloEngine* slo = nullptr);
-std::string to_csv(const Registry& registry);
 
 /// Standalone dump of the sampler's rings (+ SLO breach windows): the
 /// "series"/"slo" sections of to_json as a self-contained document, with
@@ -84,9 +80,9 @@ std::string to_chrome_trace(
 /// Writes `content` to `path`; returns false (and logs to stderr) on error.
 bool write_file(const std::string& path, const std::string& content);
 
-/// The bench-exit hook: when the environment sets PH_METRICS_JSON (or
-/// PH_METRICS_CSV) to a path, dumps a snapshot there; PH_TRACE_JSON
-/// dumps the trace as Chrome trace-event JSON (needs a trace);
+/// The bench-exit hook: when the environment sets PH_METRICS_JSON to a
+/// path, dumps a snapshot there; PH_TRACE_JSON dumps the trace as Chrome
+/// trace-event JSON (needs a trace);
 /// PH_SERIES_JSON dumps the sampler's rings via series_to_json (needs a
 /// sampler). Series/SLO sections ride along inside the metrics JSON and
 /// the Chrome trace too when those objects are supplied. Warns on

@@ -63,17 +63,19 @@ TEST_F(StackTest, SetRadioPoweredTogglesAdapter) {
   net::Adapter* adapter = medium_.adapter(stack.id(), net::Technology::bluetooth);
   ASSERT_NE(adapter, nullptr);
   EXPECT_TRUE(adapter->powered());
-  stack.set_radio_powered(net::Technology::bluetooth, false);
+  ASSERT_TRUE(stack.set_radio_powered(net::Technology::bluetooth, false).ok());
   EXPECT_FALSE(adapter->powered());
-  stack.set_radio_powered(net::Technology::bluetooth, true);
+  ASSERT_TRUE(stack.set_radio_powered(net::Technology::bluetooth, true).ok());
   EXPECT_TRUE(adapter->powered());
 }
 
 TEST_F(StackTest, PoweringUnknownTechnologyIsNoop) {
   Stack stack(medium_, std::make_unique<sim::StaticMobility>(sim::Vec2{0, 0}),
               {});
-  stack.set_radio_powered(net::Technology::gprs, false);  // no GPRS radio
-  SUCCEED();
+  const Result<void> result =
+      stack.set_radio_powered(net::Technology::gprs, false);  // no GPRS radio
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.error().code, Errc::not_supported);
 }
 
 TEST_F(StackTest, DaemonConfigPassedThrough) {

@@ -1,20 +1,23 @@
-// Property tests for the event-queue implementations.
+// Property tests for the event queue.
 //
 // The timer wheel earns its keep only if it is *indistinguishable* from
-// the reference binary heap: same (when, id) pop order for every workload,
-// including same-timestamp ties, cancellations, far-future overflow
-// entries and wheel cascades. The lockstep tests drive both queues with
-// identical randomized workloads and compare every popped entry; the
-// simulator-level test does the same through the public Simulator API.
+// the reference binary heap (tests/sim/binary_heap_queue.hpp): same
+// (when, id) pop order for every workload, including same-timestamp ties,
+// cancellations, far-future overflow entries and wheel cascades. The
+// lockstep tests drive both queues with identical randomized workloads and
+// compare every popped entry; the simulator-level test checks the public
+// Simulator API against an order computed directly from (when, sequence).
 
 #include <algorithm>
 #include <random>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "sim/event_queue.hpp"
 #include "sim/simulator.hpp"
+#include "tests/sim/binary_heap_queue.hpp"
 
 namespace ph::sim {
 namespace {
@@ -348,34 +351,50 @@ TEST(EventQueue, CancelledEntriesCompactOnceTheyDominate) {
   EXPECT_EQ(fired, 40u);
 }
 
-TEST(SimulatorLockstep, BothQueueImplsExecuteIdentically) {
-  // Same randomized scenario on both queue implementations, recording the
-  // execution order through the public API. Periodic tasks, cancellations
-  // and nested scheduling included.
-  auto run = [](Simulator::QueueImpl impl) {
-    std::vector<std::pair<Time, int>> order;
-    Simulator simulator(impl);
-    std::mt19937_64 rng(0xD15EA5E);
-    int tag = 0;
-    for (int i = 0; i < 500; ++i) {
-      const Time delay = rng() % 3'000'000;
-      const int id = tag++;
-      const EventId ev =
-          simulator.schedule(Duration{delay}, [&order, &simulator, id] {
-            order.emplace_back(simulator.now(), id);
-          });
-      if (i % 7 == 0) simulator.cancel(ev);
+TEST(SimulatorOrder, FiresInWhenThenScheduleSequenceOrder) {
+  // A randomized scenario through the public API — one-shots, every
+  // seventh cancelled, and a periodic task whose re-arms are nested
+  // schedules — recorded in execution order and checked against the order
+  // the determinism contract defines: by time, ties broken by schedule
+  // sequence.
+  constexpr int kOneShots = 500;
+  constexpr Duration kPeriod = 50'000;
+  constexpr Time kUntil = 2'500'000;
+
+  std::vector<std::pair<Time, int>> order;
+  Simulator simulator;
+  std::mt19937_64 rng(0xD15EA5E);
+  // (when, schedule sequence, recorded id) of everything that should fire.
+  std::vector<std::tuple<Time, std::uint64_t, int>> expected;
+  for (int i = 0; i < kOneShots; ++i) {
+    const Time delay = rng() % 3'000'000;
+    const EventId ev =
+        simulator.schedule(Duration{delay}, [&order, &simulator, i] {
+          order.emplace_back(simulator.now(), i);
+        });
+    if (i % 7 == 0) {
+      simulator.cancel(ev);
+    } else if (delay <= kUntil) {
+      expected.emplace_back(delay, static_cast<std::uint64_t>(i), i);
     }
-    simulator.schedule_periodic(Duration{50'000}, [&order, &simulator]() {
-      order.emplace_back(simulator.now(), -1);
-    });
-    simulator.run_until(Time{2'500'000});
-    return order;
-  };
-  const auto wheel_order = run(Simulator::QueueImpl::timer_wheel);
-  const auto heap_order = run(Simulator::QueueImpl::binary_heap);
-  ASSERT_EQ(wheel_order.size(), heap_order.size());
-  EXPECT_EQ(wheel_order, heap_order);
+  }
+  simulator.schedule_periodic(kPeriod, [&order, &simulator]() {
+    order.emplace_back(simulator.now(), -1);
+  });
+  // Occurrence k is armed after every one-shot was scheduled, so its
+  // sequence is higher: one-shots win ties against a periodic re-arm.
+  for (std::uint64_t k = 1; k * kPeriod <= kUntil; ++k) {
+    expected.emplace_back(k * kPeriod, kOneShots + k, -1);
+  }
+  simulator.run_until(kUntil);
+
+  std::sort(expected.begin(), expected.end());
+  std::vector<std::pair<Time, int>> expected_order;
+  for (const auto& [when, sequence, id] : expected) {
+    expected_order.emplace_back(when, id);
+  }
+  ASSERT_EQ(order.size(), expected_order.size());
+  EXPECT_EQ(order, expected_order);
 }
 
 }  // namespace
