@@ -1,21 +1,25 @@
 // Infrastructure microbenchmarks (google-benchmark, wall-clock): the
-// simulation kernel's event throughput and the wire codecs. Not tied to a
-// thesis artifact — these document the harness' own capacity, i.e. how
-// large an overlay simulation the repository can drive.
+// simulation kernel's event throughput, the wire codecs and the telemetry
+// scrape. Not tied to a thesis artifact — these document the harness' own
+// capacity, i.e. how large an overlay simulation the repository can drive.
 //
 // Set PH_METRICS_JSON=/path/out.json to also dump a
 // `sim.kernel.*` snapshot — one deterministic run of the schedule/run and
 // cancel workloads with event counts and wall-clock throughput — at exit.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <memory>
 #include <random>
+#include <string>
+#include <vector>
 
 #include "net/medium.hpp"
 #include "obs/bench_report.hpp"
 #include "obs/export.hpp"
+#include "obs/sampler.hpp"
 #include "proto/daemon.hpp"
 #include "proto/messages.hpp"
 #include "sim/mobility.hpp"
@@ -273,6 +277,63 @@ void BM_DecodeDaemonMessage(benchmark::State& state) {
                           static_cast<int64_t>(encoded.size()));
 }
 BENCHMARK(BM_DecodeDaemonMessage);
+
+// One ops-plane scrape (obs::Sampler::sample) of a registry shaped like the
+// crowd's: per device 20 counters, 5 gauges and 4 latency histograms under
+// `peerhood.daemon.d<id>.` names (the crowd holds ~29 metrics per device).
+// Arg = total metrics; 1% of them move between scrapes. Reports ns per
+// scrape (the iteration time) and ns per metric (`per_metric`).
+void BM_SamplerScrape(benchmark::State& state) {
+  constexpr int kPerDevice = 29;
+  const int devices = static_cast<int>(state.range(0)) / kPerDevice;
+  obs::Registry registry;
+  std::vector<obs::Counter*> counters;
+  std::vector<obs::Gauge*> gauges;
+  std::vector<obs::Histogram*> hists;
+  for (int d = 0; d < devices; ++d) {
+    const std::string prefix = "peerhood.daemon.d" + std::to_string(d) + ".";
+    for (int i = 0; i < 20; ++i) {
+      counters.push_back(&registry.counter(prefix + "c" + std::to_string(i)));
+    }
+    for (int i = 0; i < 5; ++i) {
+      gauges.push_back(&registry.gauge(prefix + "g" + std::to_string(i)));
+    }
+    for (int i = 0; i < 4; ++i) {
+      hists.push_back(
+          &registry.histogram(prefix + "h" + std::to_string(i) + "_us"));
+    }
+  }
+  const std::size_t metrics = registry.entries().size();
+  obs::Sampler sampler(registry, {.interval_us = 1'000'000, .capacity = 16});
+  obs::TimePoint now = 1'000'000;
+  sampler.sample(now);  // adopt every metric before timing
+
+  // Touch 1% per tick, spread over the kinds in the registry's proportions.
+  const std::size_t touched = std::max<std::size_t>(1, metrics / 100);
+  std::size_t next = 0;
+  for (auto _ : state) {
+    for (std::size_t i = 0; i < touched; ++i, ++next) {
+      const std::size_t k = next % kPerDevice;
+      const std::size_t d =
+          next / kPerDevice % static_cast<std::size_t>(devices);
+      if (k < 20) {
+        counters[d * 20 + k]->inc();
+      } else if (k < 25) {
+        gauges[d * 5 + (k - 20)]->set(static_cast<double>(next));
+      } else {
+        hists[d * 4 + (k - 25)]->observe(static_cast<double>(next % 5'000));
+      }
+    }
+    sampler.sample(now += 1'000'000);
+    benchmark::ClobberMemory();  // the scrape's output is its ring writes
+  }
+  state.counters["metrics"] = static_cast<double>(metrics);
+  state.counters["per_metric"] = benchmark::Counter(
+      static_cast<double>(metrics),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_SamplerScrape)->Arg(1'000)->Arg(10'000)->Arg(40'000);
 
 // Records one deterministic pass of the kernel workloads into `metrics`.
 // The schedule/run workload's wall-clock throughput shows up as

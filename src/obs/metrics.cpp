@@ -68,7 +68,12 @@ void Histogram::merge_buckets(const std::uint64_t* counts, std::size_t n,
                               double max) {
   PH_CHECK_MSG(n == counts_.size(),
                "bucket merge requires identical bucket layout");
-  for (std::size_t i = 0; i < n; ++i) counts_[i] += counts[i];
+  std::uint64_t total = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    counts_[i] += counts[i];
+    total += counts[i];
+  }
+  PH_CHECK_MSG(total == count, "bucket merge counts must sum to count");
   if (count > 0) {
     min_ = count_ == 0 ? min : std::min(min_, min);
     max_ = count_ == 0 ? max : std::max(max_, max);
@@ -159,6 +164,7 @@ Counter& Registry::counter(const std::string& name) {
   if (it == counters_.end()) {
     check_kind(name, "counter");
     it = counters_.emplace(name, std::make_unique<Counter>()).first;
+    entries_.push_back({Kind::counter, &it->first, it->second.get()});
   }
   return *it->second;
 }
@@ -168,6 +174,7 @@ Gauge& Registry::gauge(const std::string& name) {
   if (it == gauges_.end()) {
     check_kind(name, "gauge");
     it = gauges_.emplace(name, std::make_unique<Gauge>()).first;
+    entries_.push_back({Kind::gauge, &it->first, it->second.get()});
   }
   return *it->second;
 }
@@ -178,6 +185,7 @@ Histogram& Registry::histogram(const std::string& name,
   if (it == histograms_.end()) {
     check_kind(name, "histogram");
     it = histograms_.emplace(name, std::make_unique<Histogram>(bounds)).first;
+    entries_.push_back({Kind::histogram, &it->first, it->second.get()});
   }
   return *it->second;
 }

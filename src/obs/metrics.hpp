@@ -16,7 +16,14 @@
 // with an optional `d<id>` instance segment for per-device components —
 // e.g. `net.medium.datagrams_sent`, `peerhood.daemon.d3.pings_sent`,
 // `community.client.d2.rpc_us`. The exporter (obs/export.hpp) dumps a
-// whole registry as JSON or CSV.
+// whole registry as JSON.
+//
+// Besides its name-ordered maps, a Registry keeps an append-only
+// registration log (entries()): one entry per instrument, in creation
+// order, whose index is a dense handle. Readers that must visit every
+// instrument repeatedly — the Sampler scrapes the whole registry each
+// tick — remember how far into the log they have read and only ever look
+// at the new tail, never at names.
 //
 // A Registry is deliberately NOT a process-wide singleton: tests and
 // benches run many independent simulated worlds in one process, and their
@@ -96,8 +103,10 @@ class Histogram {
 
   /// Adds raw bucket deltas — profiling publishers drain per-shard fixed
   /// arrays at barriers (obs::prof). `counts` must have
-  /// bounds().size() + 1 entries (last = overflow); `min`/`max` are the
-  /// source's observed extremes and are ignored when `count` is 0.
+  /// bounds().size() + 1 entries (last = overflow) summing to `count`, so
+  /// count() always equals the sum of bucket_counts() (the Sampler's dirty
+  /// check relies on it); `min`/`max` are the source's observed extremes
+  /// and are ignored when `count` is 0.
   void merge_buckets(const std::uint64_t* counts, std::size_t n,
                      std::uint64_t count, double sum, double min, double max);
 
@@ -174,6 +183,27 @@ class Snapshot {
 /// is a programming error and aborts (PH_CHECK).
 class Registry {
  public:
+  enum class Kind : std::uint8_t { counter, gauge, histogram };
+
+  /// One registration-log record. `name` points at the registry's own map
+  /// key and `instrument` at the Counter, Gauge or Histogram `kind` names;
+  /// both stay valid for the registry's lifetime.
+  struct Entry {
+    Kind kind;
+    const std::string* name;
+    const void* instrument;
+
+    const Counter& counter() const {
+      return *static_cast<const Counter*>(instrument);
+    }
+    const Gauge& gauge() const {
+      return *static_cast<const Gauge*>(instrument);
+    }
+    const Histogram& histogram() const {
+      return *static_cast<const Histogram*>(instrument);
+    }
+  };
+
   Registry() = default;
   Registry(const Registry&) = delete;
   Registry& operator=(const Registry&) = delete;
@@ -211,6 +241,11 @@ class Registry {
     return histograms_;
   }
 
+  /// Every instrument in creation order; append-only, so an index into it
+  /// is a dense handle and `entries().size()` a watermark of what a
+  /// reader has already seen.
+  const std::vector<Entry>& entries() const noexcept { return entries_; }
+
  private:
   /// Aborts when `name` already exists as a different instrument kind.
   void check_kind(const std::string& name, const char* wanted) const;
@@ -218,6 +253,7 @@ class Registry {
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;
+  std::vector<Entry> entries_;
 };
 
 }  // namespace ph::obs

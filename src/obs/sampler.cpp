@@ -115,7 +115,7 @@ void Sampler::sample() {
 
 TimeSeries* Sampler::make_series(const std::string& name, SeriesKind kind) {
   // Look up before constructing: building a TimeSeries claims its ring,
-  // and steady-state sampling must not allocate at all.
+  // and a series name two instruments share must map to one ring.
   auto it = series_.find(name);
   if (it == series_.end()) {
     // Rings live in the sampler's arena: one bump per series, a handful of
@@ -134,6 +134,42 @@ const TimeSeries* Sampler::find(const std::string& name) const {
   return it == series_.end() ? nullptr : &it->second;
 }
 
+void Sampler::adopt_new_entries() {
+  const std::vector<Registry::Entry>& log = registry_.entries();
+  if (seen_ == log.size()) return;
+  // One pass per kind, in the scrape's push order: should a series name be
+  // shared across kinds (a gauge `x.rate` beside a counter `x`), the
+  // series takes the kind of the walker that reaches it first.
+  for (std::size_t i = seen_; i < log.size(); ++i) {
+    if (log[i].kind != Registry::Kind::counter) continue;
+    counter_cursors_.push_back(
+        {.counter = &log[i].counter(),
+         .rate = make_series(*log[i].name + ".rate",
+                             SeriesKind::counter_rate)});
+  }
+  for (std::size_t i = seen_; i < log.size(); ++i) {
+    if (log[i].kind != Registry::Kind::gauge) continue;
+    gauge_cursors_.push_back({.gauge = &log[i].gauge(),
+                              .value = make_series(*log[i].name,
+                                                   SeriesKind::gauge)});
+  }
+  for (std::size_t i = seen_; i < log.size(); ++i) {
+    if (log[i].kind != Registry::Kind::histogram) continue;
+    const std::string& name = *log[i].name;
+    const Histogram& hist = log[i].histogram();
+    const std::size_t buckets = hist.bucket_counts().size();
+    hist_cursors_.push_back(
+        {.hist = &hist,
+         .last_buckets = arena_.allocate_array<std::uint64_t>(buckets),
+         .rate = make_series(name + ".rate", SeriesKind::hist_rate),
+         .p50 = make_series(name + ".p50", SeriesKind::hist_p50),
+         .p95 = make_series(name + ".p95", SeriesKind::hist_p95),
+         .p99 = make_series(name + ".p99", SeriesKind::hist_p99)});
+    if (delta_.capacity() < buckets) delta_.reserve(buckets);
+  }
+  seen_ = log.size();
+}
+
 void Sampler::sample(TimePoint now) {
   if (!enabled_) return;
   if (sampled_once_ && now <= last_at_) return;  // empty or reversed interval
@@ -145,14 +181,9 @@ void Sampler::sample(TimePoint now) {
   if (elapsed == 0) elapsed = config_.interval_us;
   const double per_second = 1e6 / static_cast<double>(elapsed);
 
-  for (const auto& [name, counter] : registry_.counters()) {
-    auto it = counter_cursors_.find(name);
-    if (it == counter_cursors_.end()) {
-      it = counter_cursors_.emplace(name, CounterCursor{}).first;
-      it->second.counter = counter.get();
-      it->second.rate = make_series(name + ".rate", SeriesKind::counter_rate);
-    }
-    CounterCursor& cursor = it->second;
+  adopt_new_entries();
+
+  for (CounterCursor& cursor : counter_cursors_) {
     const std::uint64_t value = cursor.counter->value();
     // Counters are monotonic by contract; clamp defensively so a wrapped
     // or externally reset counter yields a zero rate, not a huge one.
@@ -161,47 +192,35 @@ void Sampler::sample(TimePoint now) {
     cursor.rate->push(now, static_cast<double>(delta) * per_second);
   }
 
-  for (const auto& [name, gauge] : registry_.gauges()) {
-    make_series(name, SeriesKind::gauge)->push(now, gauge->value());
+  for (const GaugeCursor& cursor : gauge_cursors_) {
+    cursor.value->push(now, cursor.gauge->value());
   }
 
-  for (const auto& [name, hist] : registry_.histograms()) {
-    auto it = hist_cursors_.find(name);
-    if (it == hist_cursors_.end()) {
-      it = hist_cursors_.emplace(name, HistCursor{}).first;
-      HistCursor& fresh = it->second;
-      fresh.hist = hist.get();
-      fresh.last_buckets.assign(hist->bucket_counts().size(), 0);
-      fresh.delta.assign(hist->bucket_counts().size(), 0);
-      fresh.rate = make_series(name + ".rate", SeriesKind::hist_rate);
-      fresh.p50 = make_series(name + ".p50", SeriesKind::hist_p50);
-      fresh.p95 = make_series(name + ".p95", SeriesKind::hist_p95);
-      fresh.p99 = make_series(name + ".p99", SeriesKind::hist_p99);
-    }
-    HistCursor& cursor = it->second;
-    const std::vector<std::uint64_t>& buckets = cursor.hist->bucket_counts();
-    std::uint64_t delta_count = 0;
-    for (std::size_t i = 0; i < buckets.size(); ++i) {
-      const std::uint64_t d = buckets[i] >= cursor.last_buckets[i]
-                                  ? buckets[i] - cursor.last_buckets[i]
-                                  : 0;
-      cursor.delta[i] = d;
-      cursor.last_buckets[i] = buckets[i];
-      delta_count += d;
-    }
+  for (HistCursor& cursor : hist_cursors_) {
+    // Histograms only grow and count() is the sum of their buckets, so the
+    // count delta is the interval's observation count, and a histogram
+    // whose count has not moved has an all-zero bucket diff: skip it.
+    const std::uint64_t count = cursor.hist->count();
+    const std::uint64_t delta_count = count - cursor.last_count;
     cursor.rate->push(now, static_cast<double>(delta_count) * per_second);
+    if (delta_count == 0) continue;
+    cursor.last_count = count;
+    const std::vector<std::uint64_t>& buckets = cursor.hist->bucket_counts();
+    delta_.resize(buckets.size());
+    for (std::size_t i = 0; i < buckets.size(); ++i) {
+      delta_[i] = buckets[i] - cursor.last_buckets[i];
+      cursor.last_buckets[i] = buckets[i];
+    }
     // Quantile points only for intervals that saw observations: an empty
     // interval has no distribution, and a synthetic zero would poison
     // windowed SLO aggregates.
-    if (delta_count > 0) {
-      const std::vector<double>& bounds = cursor.hist->bounds();
-      cursor.p50->push(now, quantile_from_bucket_delta(bounds, cursor.delta,
-                                                       delta_count, 0.50));
-      cursor.p95->push(now, quantile_from_bucket_delta(bounds, cursor.delta,
-                                                       delta_count, 0.95));
-      cursor.p99->push(now, quantile_from_bucket_delta(bounds, cursor.delta,
-                                                       delta_count, 0.99));
-    }
+    const std::vector<double>& bounds = cursor.hist->bounds();
+    cursor.p50->push(now, quantile_from_bucket_delta(bounds, delta_,
+                                                     delta_count, 0.50));
+    cursor.p95->push(now, quantile_from_bucket_delta(bounds, delta_,
+                                                     delta_count, 0.95));
+    cursor.p99->push(now, quantile_from_bucket_delta(bounds, delta_,
+                                                     delta_count, 0.99));
   }
 
   last_at_ = now;

@@ -22,6 +22,18 @@
 // simply never constructed costs the instrumented code nothing (sampling
 // is pull-based; layers never see the sampler).
 //
+// A scrape is a linear walk over flat cursor vectors, never a name lookup.
+// The Sampler keeps a watermark into the Registry's append-only
+// registration log (Registry::entries()); each scrape first turns the log
+// entries past it into cursors — instrument pointer, last value, series
+// pointers — creating each series exactly once, then walks the counter,
+// gauge and histogram cursors in that order. A histogram whose count()
+// has not moved since the last scrape pushes a zero rate and skips its
+// bucket diff (the dirty skip). Cost model per scrape: one pointer chase
+// and one ring push per counter and gauge, the same per quiet histogram,
+// plus O(buckets) and three quantile reads per histogram that saw
+// observations; the cursor vectors grow only when the registry does.
+//
 // Like the Trace, the Sampler takes explicit TimePoint stamps so obs does
 // not depend on the simulator. All state is deterministic: same seed, same
 // scrape schedule => byte-identical series dumps. A Sampler may instead be
@@ -165,31 +177,38 @@ class Sampler {
   TimePoint last_sample_at() const noexcept { return last_at_; }
 
  private:
-  /// Diff state for one counter/histogram between scrapes. Gauges need no
-  /// state (last-value semantics).
+  /// Diff state per instrument, one vector per kind, each in registration
+  /// order. Cursors hold raw instrument and series pointers (both stable),
+  /// so a scrape never touches a name.
   struct CounterCursor {
     const Counter* counter = nullptr;
     std::uint64_t last = 0;
     TimeSeries* rate = nullptr;
   };
+  struct GaugeCursor {
+    const Gauge* gauge = nullptr;
+    TimeSeries* value = nullptr;
+  };
   struct HistCursor {
     const Histogram* hist = nullptr;
     std::uint64_t last_count = 0;
-    std::vector<std::uint64_t> last_buckets;  // sized once, overwritten
-    std::vector<std::uint64_t> delta;         // scratch, sized once
+    std::uint64_t* last_buckets = nullptr;  // arena, bucket_counts().size()
     TimeSeries* rate = nullptr;
     TimeSeries* p50 = nullptr;
     TimeSeries* p95 = nullptr;
     TimeSeries* p99 = nullptr;
   };
 
+  /// Gives every registry entry past `seen_` its cursor and series.
+  void adopt_new_entries();
   TimeSeries* make_series(const std::string& name, SeriesKind kind);
 
   const Registry& registry_;
   const Clock* clock_ = nullptr;
   SamplerConfig config_;
-  /// Backing store for every series ring; must be declared before series_
-  /// so the rings' storage outlives them on destruction.
+  /// Backing store for every series ring and histogram bucket cursor; must
+  /// be declared before series_ so the rings' storage outlives them on
+  /// destruction.
   util::Arena arena_;
   bool enabled_ = true;
   std::uint64_t samples_ = 0;
@@ -197,8 +216,13 @@ class Sampler {
   TimePoint last_at_ = 0;
   bool sampled_once_ = false;
   std::map<std::string, TimeSeries> series_;
-  std::map<std::string, CounterCursor> counter_cursors_;
-  std::map<std::string, HistCursor> hist_cursors_;
+  /// Registry entries already turned into cursors (a log watermark).
+  std::size_t seen_ = 0;
+  std::vector<CounterCursor> counter_cursors_;
+  std::vector<GaugeCursor> gauge_cursors_;
+  std::vector<HistCursor> hist_cursors_;
+  /// Bucket-diff scratch, reserved for the widest histogram at adoption.
+  std::vector<std::uint64_t> delta_;
 };
 
 }  // namespace ph::obs

@@ -1190,19 +1190,25 @@ void SocketTransport::scrape_telemetry() {
   const obs::prof::Scope span(obs::prof::Center::transport_telemetry);
   const std::uint64_t wall = wall_clock_.now();
   // Queue-depth gauges per device, summed across its endpoints' channels;
-  // RTT probes ride the same pass.
-  std::map<DeviceId, std::pair<std::size_t, std::size_t>> depths;
-  for (auto& [key, endpoint] : endpoints_) {
-    auto& [send_bytes, recv_bytes] = depths[key.first];
-    endpoint->scrape_channels(wall, send_bytes, recv_bytes);
-  }
-  for (const auto& [device, queue] : depths) {
-    const std::string prefix =
-        "transport.socket.d" + std::to_string(device) + ".";
-    registry_.gauge(prefix + "send_queue_bytes")
-        .set(static_cast<double>(queue.first));
-    registry_.gauge(prefix + "recv_queue_bytes")
-        .set(static_cast<double>(queue.second));
+  // RTT probes ride the same pass. endpoints_ is ordered by device, so each
+  // device's endpoints are one run. A device's gauges are registered at its
+  // first scrape; later scrapes reuse the cached handles.
+  for (auto it = endpoints_.begin(); it != endpoints_.end();) {
+    const DeviceId device = it->first.first;
+    std::size_t send_bytes = 0;
+    std::size_t recv_bytes = 0;
+    for (; it != endpoints_.end() && it->first.first == device; ++it) {
+      it->second->scrape_channels(wall, send_bytes, recv_bytes);
+    }
+    auto [gauges, fresh] = queue_gauges_.try_emplace(device);
+    if (fresh) {
+      const std::string prefix =
+          "transport.socket.d" + std::to_string(device) + ".";
+      gauges->second = {&registry_.gauge(prefix + "send_queue_bytes"),
+                        &registry_.gauge(prefix + "recv_queue_bytes")};
+    }
+    gauges->second.send->set(static_cast<double>(send_bytes));
+    gauges->second.recv->set(static_cast<double>(recv_bytes));
   }
   sampler_->sample();
   slo_->evaluate();

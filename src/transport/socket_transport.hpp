@@ -189,6 +189,13 @@ class SocketTransport final : public Transport {
   obs::Counter* c_partial_writes_ = nullptr;
   obs::Counter* c_backpressure_ = nullptr;
   obs::Counter* c_rtt_probes_ = nullptr;
+  /// Per-device `transport.socket.d<id>.{send,recv}_queue_bytes` handles,
+  /// registered at the device's first telemetry scrape.
+  struct QueueGauges {
+    obs::Gauge* send = nullptr;
+    obs::Gauge* recv = nullptr;
+  };
+  std::map<DeviceId, QueueGauges> queue_gauges_;
 
   // Wall-clock telemetry plane (enable_telemetry / enable_ops_server).
   obs::WallClock wall_clock_;

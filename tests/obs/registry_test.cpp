@@ -43,6 +43,30 @@ TEST(Registry, FindReturnsNullForAbsentNames) {
   EXPECT_EQ(registry.find_histogram("a"), nullptr);
 }
 
+TEST(Registry, EntriesLogEveryInstrumentOnceInCreationOrder) {
+  Registry registry;
+  Counter& c = registry.counter("b.count");
+  registry.gauge("a.depth");
+  registry.counter("b.count").inc();  // existing name: no new entry
+  Histogram& h = registry.histogram("c.lat_us");
+  Registry other;
+  other.gauge("a.depth");  // already present: merge reuses it
+  other.counter("z.late").inc(2);
+  registry.merge_from(other);
+
+  const std::vector<Registry::Entry>& log = registry.entries();
+  ASSERT_EQ(log.size(), 4u);
+  EXPECT_EQ(log[0].kind, Registry::Kind::counter);
+  EXPECT_EQ(*log[0].name, "b.count");
+  EXPECT_EQ(&log[0].counter(), &c);
+  EXPECT_EQ(log[1].kind, Registry::Kind::gauge);
+  EXPECT_EQ(*log[1].name, "a.depth");
+  EXPECT_EQ(log[2].kind, Registry::Kind::histogram);
+  EXPECT_EQ(&log[2].histogram(), &h);
+  EXPECT_EQ(*log[3].name, "z.late");
+  EXPECT_EQ(log[3].counter().value(), 2u);
+}
+
 TEST(RegistryDeathTest, NameKindCollisionAborts) {
   Registry registry;
   registry.counter("community.groups.joins");
@@ -245,6 +269,16 @@ TEST(MergeDeathTest, MismatchedBoundsAbort) {
   Registry target;
   target.histogram("h.lat", {5.0}).observe(0.5);
   EXPECT_DEATH(target.merge_from(source), "PH_CHECK");
+}
+
+TEST(MergeDeathTest, BucketMergeCountMustMatchBuckets) {
+  // count() must stay the sum of the buckets: the Sampler skips the bucket
+  // diff of a histogram whose count did not move.
+  Histogram h({1.0, 2.0});
+  const std::uint64_t counts[] = {1, 0, 2};
+  h.merge_buckets(counts, 3, 3, 4.0, 0.5, 3.0);
+  EXPECT_EQ(h.count(), 3u);
+  EXPECT_DEATH(h.merge_buckets(counts, 3, 0, 0.0, 0.0, 0.0), "PH_CHECK");
 }
 
 TEST(Snapshot, IsAPointInTimeCopy) {

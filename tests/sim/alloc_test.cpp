@@ -8,16 +8,21 @@
 // EventFn + FlatIdSet + slot-vector reuse) exists to provide; a regression
 // in any of those layers (a closure growing past the inline buffer, a
 // vector losing its capacity, a set re-hashing per op) fails this test.
+// The same interposer pins the profiler's hot paths and obs::Sampler's
+// steady-state scrape.
 //
 // Lives in its own binary: the interposer is process-global and must not
 // contaminate unrelated tests.
 
 #include <cstdlib>
 #include <new>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "obs/prof.hpp"
+#include "obs/sampler.hpp"
 #include "sim/simulator.hpp"
 
 namespace {
@@ -175,6 +180,50 @@ TEST(SimulatorAllocation, ProfSamplerRingWritesAllocateNothing) {
   const auto& [stack, count] = *folded.begin();
   EXPECT_EQ(stack, "main;transport.io;transport.telemetry");
   EXPECT_EQ(count, config.ring_capacity);
+}
+
+TEST(SimulatorAllocation, SamplerScrapeAllocatesNothingOnceRegistryIsStable) {
+  // A scrape walks flat cursor vectors that grow only when the registry
+  // does: once no new metric has been registered, scraping — ring
+  // wrap-around and dirty histograms included — must not allocate.
+  obs::Registry registry;
+  std::vector<obs::Counter*> counters;
+  std::vector<obs::Gauge*> gauges;
+  std::vector<obs::Histogram*> hists;
+  const auto register_device = [&](int d) {
+    const std::string prefix = "peerhood.daemon.d" + std::to_string(d) + ".";
+    counters.push_back(&registry.counter(prefix + "pings_sent"));
+    gauges.push_back(&registry.gauge(prefix + "neighbours"));
+    hists.push_back(&registry.histogram(prefix + "discovery_us"));
+  };
+  for (int d = 0; d < 64; ++d) register_device(d);
+
+  obs::Sampler sampler(registry, {.interval_us = 100'000, .capacity = 32});
+  obs::TimePoint now = 100'000;
+  sampler.sample(now);  // adopts every metric: cursors and rings
+
+  const auto allocations_over = [&](int scrapes) {
+    const std::size_t allocations_before = g_new_calls;
+    for (int i = 0; i < scrapes; ++i) {
+      counters[static_cast<std::size_t>(i) % counters.size()]->inc(3);
+      gauges[static_cast<std::size_t>(i * 7) % gauges.size()]->set(i);
+      hists[static_cast<std::size_t>(i * 5) % hists.size()]->observe(
+          1'000.0 * i);
+      sampler.sample(now += 100'000);
+    }
+    return g_new_calls - allocations_before;
+  };
+  EXPECT_EQ(allocations_over(200), 0u)  // > 6x the ring: wraps every series
+      << "steady-state scrapes allocated";
+
+  // A late registration is the one thing that may allocate: its cursor and
+  // rings are created by the next scrape, after which scrapes are free again.
+  register_device(64);
+  const std::size_t allocations_before = g_new_calls;
+  sampler.sample(now += 100'000);
+  EXPECT_GT(g_new_calls, allocations_before);
+  EXPECT_EQ(allocations_over(200), 0u) << "scrapes after a late registration";
+  EXPECT_EQ(sampler.allocations(), sampler.series().size());
 }
 
 }  // namespace
