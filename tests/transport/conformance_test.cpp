@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <map>
 #include <memory>
 #include <string>
 #include <utility>
@@ -461,6 +463,113 @@ TEST(TransportMetricParity, BackendsRegisterSameTransportFamilies) {
   EXPECT_EQ(sim_schema.counters, socket_schema.counters);
   EXPECT_EQ(sim_schema.gauges, socket_schema.gauges);
   EXPECT_EQ(sim_schema.histograms, socket_schema.histograms);
+}
+
+// The simulated backend's `transport.*` values, pinned. A scripted exchange
+// runs between two transport endpoints (a, b) and one radio (c) created
+// straight on the Medium: only traffic through transport endpoints counts,
+// in both directions of a channel, a break counts even on a side with no
+// break handler installed, and sends count even when nothing goes out.
+TEST(SimTransportMetrics, ScriptedExchangeCountsExactly) {
+  SimWorld world;
+  Transport& transport = world.transport();
+  net::TechProfile wlan = quick_wlan();
+  wlan.frame_loss = 0.0;
+  const DeviceId a = transport.add_device("a", nullptr);
+  const DeviceId b = transport.add_device("b", nullptr);
+  Endpoint& ea = transport.add_endpoint(a, wlan);
+  Endpoint& eb = transport.add_endpoint(b, wlan);
+  const net::NodeId c = world.medium.add_node(
+      "c", std::make_unique<sim::StaticMobility>(sim::Vec2{0.0, 0.0}));
+  net::Adapter& raw = world.medium.add_adapter(c, wlan);
+  const auto settle = [&] { transport.scheduler().run_for(sim::seconds(1)); };
+
+  // Datagrams: unicast and broadcast from a, unicast from the raw radio.
+  int b_datagrams = 0;
+  int c_datagrams = 0;
+  eb.bind(4000, [&](DeviceId, BytesView) { ++b_datagrams; });
+  raw.bind(4000, [&](net::NodeId, BytesView) { ++c_datagrams; });
+  ea.send_datagram(b, 4000, to_bytes("ping"));
+  ea.broadcast_datagram(4000, to_bytes("hello!"));
+  raw.send_datagram(b, 4000, to_bytes("raw"));
+  settle();
+  ASSERT_EQ(b_datagrams, 3);
+  ASSERT_EQ(c_datagrams, 1);
+
+  // b echoes on port 5000 and never installs a break handler.
+  std::vector<Channel> accepted;
+  eb.listen(5000, [&](Channel channel) {
+    accepted.push_back(channel);
+    const std::size_t i = accepted.size() - 1;
+    accepted[i].on_receive([&accepted, i](BytesView payload) {
+      accepted[i].send(to_bytes("ack:" + to_text(payload)));
+    });
+  });
+  Channel client;
+  std::string client_got;
+  bool client_broke = false;
+  ea.connect(b, 5000, [&](Result<Channel> result) {
+    ASSERT_TRUE(bool(result)) << result.error().to_string();
+    client = *result;
+    client.on_receive(
+        [&](BytesView payload) { client_got = to_text(payload); });
+    client.on_break([&] { client_broke = true; });
+    client.send(to_bytes("payload"));
+  });
+  // The raw radio opens to b and speaks once; b's echo goes unread.
+  raw.connect(b, 5000, [&](auto result) {
+    ASSERT_TRUE(bool(result));
+    auto link = *result;
+    link.send(to_bytes("hi"));
+  });
+  // b opens to the raw radio, which sends one message and closes.
+  raw.listen(6000, [&](auto link) {
+    link.send(to_bytes("raw-hi"));
+    link.close();
+  });
+  Channel to_c;
+  std::string from_c;
+  eb.connect(c, 6000, [&](Result<Channel> result) {
+    ASSERT_TRUE(bool(result)) << result.error().to_string();
+    to_c = *result;
+    to_c.on_receive([&](BytesView payload) { from_c = to_text(payload); });
+  });
+  settle();
+  ASSERT_EQ(client_got, "ack:payload");
+  ASSERT_EQ(from_c, "raw-hi");
+  ASSERT_EQ(accepted.size(), 2u);
+  ASSERT_FALSE(to_c.open());
+
+  // Powering a off breaks a<->b on both sides, b's without a handler.
+  ea.set_powered(false);
+  settle();
+  ASSERT_TRUE(client_broke);
+  // Sends through a dead channel or a powered-off endpoint still count.
+  client.send(to_bytes("late"));
+  ea.send_datagram(b, 4000, to_bytes("off"));
+  settle();
+  ASSERT_EQ(b_datagrams, 3);
+
+  std::map<std::string, std::uint64_t> counters;
+  for (const auto& [name, counter] : transport.registry().counters()) {
+    if (name.starts_with("transport.")) counters[name] = counter->value();
+  }
+  const std::map<std::string, std::uint64_t> expected = {
+      {"transport.bad_frames", 0},
+      {"transport.channel_bytes", 7 + 7 + 11 + 11 + 2 + 6 + 6 + 4},
+      {"transport.channel_messages", 4},
+      {"transport.channels_accepted", 2},
+      {"transport.channels_broken", 3},
+      {"transport.channels_opened", 2},
+      {"transport.datagram_bytes", 4 + 6 + 3},
+      {"transport.datagrams_received", 3},
+      {"transport.datagrams_sent", 3},
+  };
+  EXPECT_EQ(counters, expected);
+  EXPECT_EQ(transport.registry().histogram("transport.handshake_us").count(),
+            0u);
+  EXPECT_EQ(transport.registry().histogram("transport.channel_rtt_us").count(),
+            0u);
 }
 
 }  // namespace
