@@ -1,7 +1,8 @@
 // Infrastructure microbenchmarks (google-benchmark, wall-clock): the
-// simulation kernel's event throughput, the wire codecs and the telemetry
-// scrape. Not tied to a thesis artifact — these document the harness' own
-// capacity, i.e. how large an overlay simulation the repository can drive.
+// simulation kernel's event throughput, the simulated transport seam, the
+// wire codecs and the telemetry scrape. Not tied to a thesis artifact —
+// these document the harness' own capacity, i.e. how large an overlay
+// simulation the repository can drive.
 //
 // Set PH_METRICS_JSON=/path/out.json to also dump a
 // `sim.kernel.*` snapshot — one deterministic run of the schedule/run and
@@ -24,6 +25,7 @@
 #include "proto/messages.hpp"
 #include "sim/mobility.hpp"
 #include "sim/simulator.hpp"
+#include "transport/sim_transport.hpp"
 
 using namespace ph;
 
@@ -220,6 +222,72 @@ void BM_Signal(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 32);
 }
 BENCHMARK(BM_Signal)->Arg(32)->Arg(256)->Arg(1024);
+
+// --- simulated transport seam --------------------------------------------
+// Two co-located devices on a SimTransport, driven only through the
+// transport::Endpoint / Channel interface the middleware uses. One
+// iteration = one 64-byte message sent and delivered to the peer's
+// handler (the kernel runs until the delivery event has fired), so the
+// time covers the seam, the Medium's frame path and one event dispatch.
+
+struct SimPair {
+  sim::Simulator simulator;
+  net::Medium medium{simulator, sim::Rng(5)};
+  transport::SimTransport transport{medium};
+  transport::DeviceId b = 0;
+  transport::Endpoint* ea = nullptr;
+  transport::Endpoint* eb = nullptr;
+
+  SimPair() {
+    net::TechProfile bt = net::bluetooth_2_0();
+    bt.frame_loss = 0.0;  // every iteration delivers exactly once
+    const transport::DeviceId a = transport.add_device("a", nullptr);
+    b = transport.add_device("b", nullptr);
+    ea = &transport.add_endpoint(a, bt);
+    eb = &transport.add_endpoint(b, bt);
+  }
+};
+
+void BM_SimDatagram(benchmark::State& state) {
+  SimPair pair;
+  std::int64_t delivered = 0;
+  pair.eb->bind(7, [&](transport::DeviceId, BytesView) { ++delivered; });
+  const Bytes payload(64, 0x5A);
+  for (auto _ : state) {
+    pair.ea->send_datagram(pair.b, 7, payload);
+    pair.simulator.run_all();
+  }
+  if (delivered != state.iterations()) state.SkipWithError("datagram lost");
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_SimDatagram);
+
+void BM_SimChannelSend(benchmark::State& state) {
+  SimPair pair;
+  std::int64_t delivered = 0;
+  transport::Channel server;
+  pair.eb->listen(7, [&](transport::Channel channel) {
+    server = channel;
+    server.on_receive([&](BytesView) { ++delivered; });
+  });
+  transport::Channel client;
+  pair.ea->connect(pair.b, 7, [&](Result<transport::Channel> result) {
+    if (result) client = *result;
+  });
+  pair.simulator.run_all();
+  if (!client.open()) {
+    state.SkipWithError("channel did not open");
+    return;
+  }
+  const Bytes payload(64, 0x5A);
+  for (auto _ : state) {
+    client.send(payload);
+    pair.simulator.run_all();
+  }
+  if (delivered != state.iterations()) state.SkipWithError("message lost");
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_SimChannelSend);
 
 proto::Response heavy_response() {
   proto::Response response;

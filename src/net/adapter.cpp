@@ -19,22 +19,38 @@ void Adapter::set_powered(bool on) {
   if (!on) medium_.break_links_of(node_, profile_.tech);
 }
 
-void Adapter::start_inquiry(InquiryHandler done) {
+void Adapter::start_inquiry(transport::InquiryHandler done) {
   medium_.start_inquiry(*this, std::move(done));
 }
 
-void Adapter::bind(Port port, DatagramHandler handler) {
+void Adapter::bind(Port port, transport::DatagramHandler handler) {
   datagram_handlers_[port] = std::move(handler);
 }
 
 void Adapter::unbind(Port port) { datagram_handlers_.erase(port); }
 
+void Adapter::receive_datagram(NodeId src, Port port, BytesView payload) {
+  auto handler = datagram_handlers_.find(port);
+  if (handler == datagram_handlers_.end()) return;
+  auto fn = handler->second;  // copy: handler may rebind the port
+  if (const auto* m = metrics()) m->datagrams_received->inc();
+  fn(src, payload);
+}
+
 void Adapter::send_datagram(NodeId dst, Port port, BytesView payload) {
+  if (const auto* m = metrics()) {
+    m->datagrams_sent->inc();
+    m->datagram_bytes->inc(payload.size());
+  }
   if (!powered_) return;
   medium_.deliver_datagram(*this, dst, port, payload);
 }
 
 void Adapter::broadcast_datagram(Port port, BytesView payload) {
+  if (const auto* m = metrics()) {
+    m->datagrams_sent->inc();
+    m->datagram_bytes->inc(payload.size());
+  }
   if (!powered_ || !profile_.supports_broadcast) return;
   // Modelled as one unicast per in-range peer: per-receiver loss, and the
   // (tiny, control-sized) payload serializes once per target — a
@@ -44,13 +60,13 @@ void Adapter::broadcast_datagram(Port port, BytesView payload) {
   }
 }
 
-void Adapter::listen(Port port, AcceptHandler on_accept) {
+void Adapter::listen(Port port, transport::AcceptHandler on_accept) {
   listeners_[port] = std::move(on_accept);
 }
 
 void Adapter::stop_listen(Port port) { listeners_.erase(port); }
 
-void Adapter::connect(NodeId dst, Port port, ConnectHandler done) {
+void Adapter::connect(NodeId dst, Port port, transport::ConnectHandler done) {
   if (!powered_) {
     done(Error{Errc::connect_failed, "local adapter powered off"});
     return;

@@ -1,43 +1,28 @@
 #include "net/link.hpp"
 
-#include "net/link_state.hpp"
 #include "net/medium.hpp"
 
-namespace ph::net {
+namespace ph::net::detail {
 
-bool Link::open() const noexcept {
-  return state_ && state_->open && !state_->closing;
-}
+bool LinkEnd::chan_open() const { return state_->open && !state_->closing; }
 
-NodeId Link::remote_node() const noexcept {
-  return state_ ? state_->peer_of(self_) : kInvalidNode;
-}
-
-Technology Link::technology() const noexcept {
-  return state_ ? state_->profile.tech : Technology::bluetooth;
-}
-
-void Link::on_receive(std::function<void(BytesView)> handler) {
-  if (state_) state_->rx_for(self_) = std::move(handler);
-}
-
-void Link::on_break(std::function<void()> handler) {
-  if (state_) state_->brk_for(self_) = std::move(handler);
-}
-
-void Link::send(BytesView payload) {
-  if (!open()) return;
+void LinkEnd::chan_send(BytesView payload) {
+  if (const auto* m = state_->metrics_for(self_)) {
+    m->channel_messages->inc();
+    m->channel_bytes->inc(payload.size());
+  }
+  if (!chan_open()) return;
   state_->medium->link_send(state_, self_, payload);
 }
 
-double Link::signal() const {
-  if (!open()) return 0.0;
+double LinkEnd::chan_signal() const {
+  if (!chan_open()) return 0.0;
   return state_->medium->signal(state_->a, state_->b, state_->profile);
 }
 
-void Link::close() {
-  if (!open()) return;
+void LinkEnd::chan_close() {
+  if (!chan_open()) return;
   state_->medium->link_close(state_, self_);
 }
 
-}  // namespace ph::net
+}  // namespace ph::net::detail

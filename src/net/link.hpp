@@ -1,16 +1,15 @@
-// Link — a connection-oriented, ordered, reliable byte-message channel
-// between two adapters of the same technology (the simulator's analogue of
-// an L2CAP channel / TCP connection).
+// Simulated links — a connection-oriented, ordered, reliable byte-message
+// channel between two adapters of the same technology (the simulator's
+// analogue of an L2CAP channel / TCP connection). Private to the ph_net
+// implementation; applications hold the transport::Channel handles that
+// Adapter::listen/connect hand out.
 //
 // Reliability is per-technology: frame loss turns into retransmission delay,
 // matching the thesis' description of the BTPlugin ("offers ordered and
-// reliable data delivery"). What a Link cannot survive is the peer moving
-// out of radio range — then the link *breaks* and both sides get their
-// break handler invoked. Seamless connectivity across technologies is the
+// reliable data delivery"). What a link cannot survive is the peer moving
+// out of radio range — then it *breaks* and both sides get their break
+// handler invoked. Seamless connectivity across technologies is the
 // PeerHood layer's job, built on top of these per-technology links.
-//
-// Link is a value handle (shared state internally); copying it refers to
-// the same endpoint.
 #pragma once
 
 #include <functional>
@@ -18,64 +17,71 @@
 
 #include "net/tech.hpp"
 #include "net/types.hpp"
+#include "sim/time.hpp"
+#include "transport/transport.hpp"
 #include "util/bytes.hpp"
 
 namespace ph::net {
-
 class Medium;
-
-namespace detail {
-struct LinkState;
 }
 
-class Link {
- public:
-  /// An empty (never-connected) handle; valid() is false.
-  Link() = default;
+namespace ph::net::detail {
 
-  bool valid() const noexcept { return state_ != nullptr; }
-  /// True while data can still be sent (not closed, not broken).
-  bool open() const noexcept;
+/// State shared by both ends of one link.
+struct LinkState {
+  Medium* medium = nullptr;
+  TechProfile profile;  // initiator's profile governs the link's physics
+  NodeId a = kInvalidNode;  // initiator
+  NodeId b = kInvalidNode;  // acceptor
+  Port port = 0;
+  bool open = false;
+  /// Graceful close in progress: new sends are rejected, queued messages
+  /// still drain to the peer before the link actually dies.
+  bool closing = false;
 
-  NodeId local_node() const noexcept { return self_; }
-  NodeId remote_node() const noexcept;
-  Technology technology() const noexcept;
+  std::function<void(BytesView)> rx_a, rx_b;  // receive handler per side
+  std::function<void()> brk_a, brk_b;         // break handler per side
+  /// Each side's `transport.*` handles; null for an uncounted adapter.
+  const transport::TransportMetrics* metrics_a = nullptr;
+  const transport::TransportMetrics* metrics_b = nullptr;
 
-  /// Handler for message payloads arriving from the peer. Messages are
-  /// delivered in send order, exactly once, while the link is open.
-  void on_receive(std::function<void(BytesView)> handler);
+  sim::Time busy_a_to_b = 0;  // serialization horizon, a->b direction
+  sim::Time busy_b_to_a = 0;
 
-  /// Handler invoked once when the link terminates for any reason other
-  /// than a local close(): peer closed, peer moved out of range, or the
-  /// local/remote adapter was powered off.
-  void on_break(std::function<void()> handler);
-
-  /// Queues a message to the peer. Delivery time accounts for bandwidth
-  /// serialization, propagation latency and (randomized) retransmissions.
-  /// Silently discarded if the link is no longer open.
-  void send(BytesView payload);
-
-  /// Current signal strength towards the peer in [0,1]; 0 means out of
-  /// range. Gateway-routed technologies always report 1 while powered.
-  double signal() const;
-
-  /// Graceful local close; the peer observes a break shortly afterwards.
-  /// Safe to call repeatedly.
-  void close();
-
-  /// Two handles are equal when they refer to the same underlying link.
-  friend bool operator==(const Link& a, const Link& b) noexcept {
-    return a.state_ == b.state_;
+  std::function<void(BytesView)>& rx_for(NodeId side) { return side == a ? rx_a : rx_b; }
+  std::function<void()>& brk_for(NodeId side) { return side == a ? brk_a : brk_b; }
+  const transport::TransportMetrics* metrics_for(NodeId side) const {
+    return side == a ? metrics_a : metrics_b;
   }
-
- private:
-  friend class Medium;
-  friend class Adapter;
-  Link(std::shared_ptr<detail::LinkState> state, NodeId self)
-      : state_(std::move(state)), self_(self) {}
-
-  std::shared_ptr<detail::LinkState> state_;
-  NodeId self_ = kInvalidNode;
+  NodeId peer_of(NodeId side) const { return side == a ? b : a; }
 };
 
-}  // namespace ph::net
+/// One side of a link: the simulated substrate's channel state. Copies of
+/// the transport::Channel over it refer to the same end.
+class LinkEnd final : public transport::detail::ChannelState {
+ public:
+  LinkEnd(std::shared_ptr<LinkState> state, NodeId self)
+      : state_(std::move(state)), self_(self) {}
+
+  bool chan_open() const override;
+  NodeId chan_remote() const override { return state_->peer_of(self_); }
+  Technology chan_technology() const override { return state_->profile.tech; }
+  void chan_on_receive(std::function<void(BytesView)> handler) override {
+    state_->rx_for(self_) = std::move(handler);
+  }
+  void chan_on_break(std::function<void()> handler) override {
+    state_->brk_for(self_) = std::move(handler);
+  }
+  /// Delivery time accounts for bandwidth serialization, propagation
+  /// latency and (randomized) retransmissions.
+  void chan_send(BytesView payload) override;
+  /// Gateway-routed technologies always report 1 while powered.
+  double chan_signal() const override;
+  void chan_close() override;
+
+ private:
+  std::shared_ptr<LinkState> state_;
+  NodeId self_;
+};
+
+}  // namespace ph::net::detail

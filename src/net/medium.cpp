@@ -5,7 +5,7 @@
 #include <cassert>
 #include <stdexcept>
 
-#include "net/link_state.hpp"
+#include "net/link.hpp"
 #include "obs/prof.hpp"
 #include "util/log.hpp"
 
@@ -13,6 +13,14 @@ namespace ph::net {
 
 namespace {
 constexpr int kMaxRetransmissions = 5;
+
+/// Runs one side's break handler. A counted side counts the break even
+/// when no handler is installed.
+void notify_break(const detail::LinkState& state, NodeId side,
+                  const std::function<void()>& brk) {
+  if (const auto* m = state.metrics_for(side)) m->channels_broken->inc();
+  if (brk) brk();
+}
 }  // namespace
 
 Medium::Medium(sim::Simulator& simulator, sim::Rng rng)
@@ -61,7 +69,7 @@ Medium::Medium(sim::Simulator& simulator, sim::Rng rng)
 
 Medium::~Medium() {
   // Links still open when the world tears down hold their handlers, and
-  // handlers routinely capture Link handles that co-own the LinkState
+  // handlers routinely capture Channel handles that co-own the LinkState
   // (session handover guards, server-side keepalive holders). Release them
   // so those reference cycles cannot outlive the Medium.
   for (const auto& weak : links_) {
@@ -71,8 +79,10 @@ Medium::~Medium() {
       state->brk_a = nullptr;
       state->brk_b = nullptr;
       // Scheduled close events surviving the world must not dereference a
-      // dead Medium for link bookkeeping.
+      // dead Medium for link bookkeeping, nor the dead adapters' metrics.
       state->medium = nullptr;
+      state->metrics_a = nullptr;
+      state->metrics_b = nullptr;
     }
   }
 }
@@ -402,7 +412,7 @@ void Medium::deliver_datagram(Adapter& from, NodeId dst, Port port,
   tc.datagram_bytes->inc(payload.size());
   tc.messages->inc();
   const obs::SpanId span = trace_.begin_span(
-      "net.datagram", simulator_.now(), from.node(), "datagram");
+      "net.datagram", simulator_.now(), from.device(), "datagram");
   // The radio serializes its own transmissions; propagation (base latency,
   // gateway hops) happens "in the air" and does not occupy the radio.
   const sim::Time depart = std::max(simulator_.now(), from.tx_busy_until_);
@@ -415,7 +425,7 @@ void Medium::deliver_datagram(Adapter& from, NodeId dst, Port port,
     // child of the flight span (end known now — synthetic closed span).
     obs::Trace::Scope queued(trace_, span);
     const obs::SpanId q = trace_.begin_span("net.tx_queue", simulator_.now(),
-                                            from.node(), "queue");
+                                            from.device(), "queue");
     trace_.end_span(q, depart);
   }
   if (rng_.chance(frame_loss(profile))) {
@@ -423,7 +433,7 @@ void Medium::deliver_datagram(Adapter& from, NodeId dst, Port port,
     trace_.end_span(span, simulator_.now());
     return;  // connectionless: lost frames are simply gone
   }
-  const NodeId src = from.node();
+  const NodeId src = from.device();
   const Technology tech = profile.tech;
   // The in-flight frame lives in a pooled buffer: once the pool reaches its
   // high-water mark, steady-state sends stop allocating. The handle keeps a
@@ -442,25 +452,23 @@ void Medium::deliver_datagram(Adapter& from, NodeId dst, Port port,
         if (sender == nullptr || receiver == nullptr) return;
         if (!sender->powered() || !receiver->powered()) return;
         if (!reachable(src, dst, sender->profile())) return;
-        auto handler = receiver->datagram_handlers_.find(port);
-        if (handler == receiver->datagram_handlers_.end()) return;
-        auto fn = handler->second;  // copy: handler may rebind the port
         // The flight span id travelled inside this closure — the
         // datagram's trace context. Receive-side spans begun by the
         // handler parent under it, stitching the two devices' trees.
         obs::Trace::Scope causal(trace_, span);
-        fn(src, BytesView{frame.data(), frame.size()});
+        receiver->receive_datagram(src, port,
+                                   BytesView{frame.data(), frame.size()});
       });
 }
 
-void Medium::start_inquiry(Adapter& from, InquiryHandler done) {
+void Medium::start_inquiry(Adapter& from, transport::InquiryHandler done) {
   c_inquiries_->inc();
   // Capture the profile by pointer: it is immutable and owned by the
   // adapter, which shares the Medium's lifetime (same assumption `this`
   // already makes). A by-value TechProfile would push the closure past the
   // EventFn inline buffer and back onto the heap.
   const TechProfile* profile = &from.profile();
-  const NodeId src = from.node();
+  const NodeId src = from.device();
   const obs::SpanId span =
       trace_.begin_span("net.inquiry", simulator_.now(), src, "inquiry");
   const obs::prof::TagScope inquiry_tag(obs::prof::Center::net_inquiry);
@@ -484,11 +492,11 @@ void Medium::start_inquiry(Adapter& from, InquiryHandler done) {
 }
 
 void Medium::open_link(Adapter& from, NodeId dst, Port port,
-                       ConnectHandler done) {
+                       transport::ConnectHandler done) {
   // Pointer capture (see start_inquiry) keeps the closure inside EventFn's
   // inline buffer; LinkState still copies the profile when the link opens.
   const TechProfile* profile = &from.profile();
-  const NodeId src = from.node();
+  const NodeId src = from.device();
   const obs::SpanId span =
       trace_.begin_span("net.link.open", simulator_.now(), src, "link");
   const obs::prof::TagScope link_tag(obs::prof::Center::net_link);
@@ -536,6 +544,8 @@ void Medium::open_link(Adapter& from, NodeId dst, Port port,
     state->b = dst;
     state->port = port;
     state->open = true;
+    state->metrics_a = self->metrics();
+    state->metrics_b = peer->metrics();
     links_.push_back(state);
     const std::size_t ti = static_cast<std::size_t>(profile->tech);
     ++open_link_counts_[src][ti];
@@ -545,8 +555,11 @@ void Medium::open_link(Adapter& from, NodeId dst, Port port,
                          << " open (" << profile->name << ")";
     // Accept first so the server side installs its handlers before any
     // client payload can arrive.
-    listener->second(Link{state, dst});
-    done(Link{state, src});
+    if (state->metrics_b) state->metrics_b->channels_accepted->inc();
+    listener->second(
+        transport::Channel(std::make_shared<detail::LinkEnd>(state, dst)));
+    if (state->metrics_a) state->metrics_a->channels_opened->inc();
+    done(transport::Channel(std::make_shared<detail::LinkEnd>(state, src)));
   });
 }
 
@@ -590,10 +603,14 @@ void Medium::link_send(const std::shared_ptr<detail::LinkState>& state,
         // handshakes install new handlers), which would otherwise destroy
         // the executing lambda.
         auto rx = st->rx_for(receiver);
+        if (!rx) return;
+        if (const auto* m = st->metrics_for(receiver)) {
+          m->channel_bytes->inc(frame.size());
+        }
         // Cross-device causality: the receiver handles the frame under
         // the sender's flight span.
         obs::Trace::Scope causal(trace_, span);
-        if (rx) rx(BytesView{frame.data(), frame.size()});
+        rx(BytesView{frame.data(), frame.size()});
       });
 }
 
@@ -619,13 +636,14 @@ void Medium::link_close(const std::shared_ptr<detail::LinkState>& state,
         st->open = false;
         if (st->medium != nullptr) st->medium->note_dead_link();
         auto brk = st->brk_for(peer);  // copy: handler may reset itself
-        // Release both sides' handlers: they may capture Link handles that
-        // own this state, and a dead link must not keep such cycles alive.
+        // Release both sides' handlers: they may capture Channel handles
+        // that own this state, and a dead link must not keep such cycles
+        // alive.
         st->rx_a = nullptr;
         st->rx_b = nullptr;
         st->brk_a = nullptr;
         st->brk_b = nullptr;
-        if (brk) brk();
+        notify_break(*st, peer, brk);
       });
 }
 
@@ -643,8 +661,8 @@ void Medium::break_link(const std::shared_ptr<detail::LinkState>& state) {
   state->rx_b = nullptr;
   state->brk_a = nullptr;
   state->brk_b = nullptr;
-  if (brk_a) brk_a();
-  if (brk_b) brk_b();
+  notify_break(*state, state->a, brk_a);
+  notify_break(*state, state->b, brk_b);
 }
 
 void Medium::unregister_link(const detail::LinkState& state) {

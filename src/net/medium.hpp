@@ -22,7 +22,6 @@
 
 #include "net/adapter.hpp"
 #include "net/fault.hpp"
-#include "net/link.hpp"
 #include "net/spatial.hpp"
 #include "net/tech.hpp"
 #include "net/types.hpp"
@@ -34,6 +33,11 @@
 #include "util/arena.hpp"
 
 namespace ph::net {
+
+namespace detail {
+struct LinkState;
+class LinkEnd;
+}  // namespace detail
 
 class Medium {
  public:
@@ -155,7 +159,7 @@ class Medium {
 
  private:
   friend class Adapter;
-  friend class Link;
+  friend class detail::LinkEnd;
 
   /// Time to push `bytes` through the radio plus propagation, including
   /// randomized retransmission delays for reliable (link) traffic.
@@ -173,11 +177,12 @@ class Medium {
   /// signal() is the memoizing wrapper around it.
   double signal_physics(NodeId a, NodeId b, const TechProfile& profile) const;
 
-  // Internal helpers used by Adapter/Link (implemented in medium.cpp).
+  // Internal helpers used by Adapter/LinkEnd (implemented in medium.cpp).
   void deliver_datagram(Adapter& from, NodeId dst, Port port,
                         BytesView payload);
-  void start_inquiry(Adapter& from, InquiryHandler done);
-  void open_link(Adapter& from, NodeId dst, Port port, ConnectHandler done);
+  void start_inquiry(Adapter& from, transport::InquiryHandler done);
+  void open_link(Adapter& from, NodeId dst, Port port,
+                 transport::ConnectHandler done);
   void link_send(const std::shared_ptr<detail::LinkState>& state, NodeId sender,
                  BytesView payload);
   void link_close(const std::shared_ptr<detail::LinkState>& state, NodeId closer);
@@ -221,7 +226,7 @@ class Medium {
   /// filtered at query time, on the grid path and the scan alike.
   struct TechAdapters {
     std::vector<Adapter*> list;          // sorted by node id; never die
-    std::vector<NodeId> ids;             // list[i]->node()
+    std::vector<NodeId> ids;             // list[i]->device()
     std::vector<std::uint8_t> powered;   // list[i]->powered() mirror
     double max_range_m = 0.0;   // over non-gateway profiles; sizes cells
     SpatialGrid grid;

@@ -1,50 +1,17 @@
 #include "obs/export.hpp"
 
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+
+#include "obs/json.hpp"
 
 namespace ph::obs {
 
 namespace {
 
-void append_escaped(std::string& out, const std::string& s) {
-  out += '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-}
-
-void append_number(std::string& out, double value) {
-  if (!std::isfinite(value)) {  // JSON has no inf/nan
-    out += "null";
-    return;
-  }
-  char buf[32];
-  // %.17g round-trips doubles; integral values print without exponent.
-  if (value == std::floor(value) && std::fabs(value) < 1e15) {
-    std::snprintf(buf, sizeof(buf), "%.0f", value);
-  } else {
-    std::snprintf(buf, sizeof(buf), "%.17g", value);
-  }
-  out += buf;
-}
+using json::append_escaped;
+using json::append_number;
 
 void append_field(std::string& out, const char* name, double value,
                   bool trailing_comma = true) {

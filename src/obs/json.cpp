@@ -196,9 +196,7 @@ bool parse(std::string_view text, Value& out, std::string* error) {
   return Parser(text).parse(out, error);
 }
 
-namespace {
-
-void serialize_string(std::string& out, const std::string& s) {
+void append_escaped(std::string& out, std::string_view s) {
   out += '"';
   for (char c : s) {
     switch (c) {
@@ -220,26 +218,28 @@ void serialize_string(std::string& out, const std::string& s) {
   out += '"';
 }
 
+void append_number(std::string& out, double value) {
+  if (!std::isfinite(value)) {
+    out += "null";
+    return;
+  }
+  char buf[32];
+  if (value == std::floor(value) && std::fabs(value) < 1e15) {
+    std::snprintf(buf, sizeof(buf), "%.0f", value);
+  } else {
+    std::snprintf(buf, sizeof(buf), "%.17g", value);
+  }
+  out += buf;
+}
+
+namespace {
+
 void serialize_into(std::string& out, const Value& value) {
   switch (value.kind) {
     case Value::Kind::null: out += "null"; break;
     case Value::Kind::boolean: out += value.boolean ? "true" : "false"; break;
-    case Value::Kind::number: {
-      if (!std::isfinite(value.number)) {
-        out += "null";
-        break;
-      }
-      char buf[32];
-      if (value.number == std::floor(value.number) &&
-          std::fabs(value.number) < 1e15) {
-        std::snprintf(buf, sizeof(buf), "%.0f", value.number);
-      } else {
-        std::snprintf(buf, sizeof(buf), "%.17g", value.number);
-      }
-      out += buf;
-      break;
-    }
-    case Value::Kind::string: serialize_string(out, value.string); break;
+    case Value::Kind::number: append_number(out, value.number); break;
+    case Value::Kind::string: append_escaped(out, value.string); break;
     case Value::Kind::array: {
       out += '[';
       bool first = true;
@@ -257,7 +257,7 @@ void serialize_into(std::string& out, const Value& value) {
       for (const auto& [key, member] : *value.object) {
         if (!first) out += ',';
         first = false;
-        serialize_string(out, key);
+        append_escaped(out, key);
         out += ':';
         serialize_into(out, member);
       }

@@ -1,7 +1,8 @@
 // A minimal recursive-descent JSON reader — just enough to validate and
 // inspect the exporter's own output (tests round-trip through it; the
 // `ph_obs_json_check` tool uses it to fail CI on a malformed metrics
-// dump). Not a general-purpose JSON library: no \uXXXX decoding beyond
+// dump), plus the string/number writers every obs JSON emitter shares.
+// Not a general-purpose JSON library: no \uXXXX decoding beyond
 // pass-through, numbers parsed as double.
 #pragma once
 
@@ -44,6 +45,14 @@ class Value {
 /// Parses `text` into `out`. On failure returns false and, when `error` is
 /// non-null, describes what went wrong (with byte offset).
 bool parse(std::string_view text, Value& out, std::string* error = nullptr);
+
+/// Appends `s` as a quoted JSON string (control characters escaped).
+void append_escaped(std::string& out, std::string_view s);
+
+/// Appends `value` as a JSON number: integral values below 1e15 print
+/// without exponent, others via %.17g so doubles round-trip; inf and nan,
+/// which JSON lacks, print as null. Every obs writer uses this one format.
+void append_number(std::string& out, double value);
 
 /// Serializes a Value back to JSON text (keys in map order, numbers via
 /// %.17g so doubles round-trip). `ph_bench_compare --perturb` uses this to

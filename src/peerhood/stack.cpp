@@ -19,25 +19,6 @@ void maybe_enable_ops_server(transport::Transport& transport,
   }
 }
 
-}  // namespace
-
-Stack::Stack(transport::Transport& transport, StackConfig config,
-             std::unique_ptr<sim::MobilityModel> mobility)
-    : transport_(transport) {
-  maybe_enable_ops_server(transport_, config);
-  id_ = transport_.add_device(config.device_name, std::move(mobility));
-  daemon_ = std::make_unique<Daemon>(transport_, id_, config.device_name,
-                                     config.daemon);
-  for (const net::TechProfile& profile : config.radios) {
-    transport::Endpoint& endpoint = transport_.add_endpoint(id_, profile);
-    PH_CHECK(bool(daemon_->add_plugin(make_plugin(endpoint))));
-  }
-  library_ = std::make_unique<PeerHood>(*daemon_);
-  if (config.autostart) (void)daemon_->start();
-}
-
-namespace {
-
 transport::Transport& require_transport(const StackConfig& config) {
   PH_CHECK_MSG(config.transport != nullptr,
                "StackConfig needs with_transport(...) for this constructor");
@@ -46,14 +27,11 @@ transport::Transport& require_transport(const StackConfig& config) {
 
 }  // namespace
 
-Stack::Stack(StackConfig config, std::unique_ptr<sim::MobilityModel> mobility)
-    : Stack(require_transport(config), std::move(config),
-            std::move(mobility)) {}
-
-Stack::Stack(net::Medium& medium, std::unique_ptr<sim::MobilityModel> mobility,
-             StackConfig config)
-    : owned_transport_(std::make_unique<transport::SimTransport>(medium)),
-      transport_(*owned_transport_) {
+Stack::Stack(std::unique_ptr<transport::Transport> owned, StackConfig config,
+             std::unique_ptr<sim::MobilityModel> mobility)
+    : owned_transport_(std::move(owned)),
+      transport_(owned_transport_ ? *owned_transport_
+                                  : require_transport(config)) {
   maybe_enable_ops_server(transport_, config);
   id_ = transport_.add_device(config.device_name, std::move(mobility));
   daemon_ = std::make_unique<Daemon>(transport_, id_, config.device_name,
@@ -65,6 +43,19 @@ Stack::Stack(net::Medium& medium, std::unique_ptr<sim::MobilityModel> mobility,
   library_ = std::make_unique<PeerHood>(*daemon_);
   if (config.autostart) (void)daemon_->start();
 }
+
+Stack::Stack(transport::Transport& transport, StackConfig config,
+             std::unique_ptr<sim::MobilityModel> mobility)
+    : Stack(nullptr, std::move(config.with_transport(transport)),
+            std::move(mobility)) {}
+
+Stack::Stack(StackConfig config, std::unique_ptr<sim::MobilityModel> mobility)
+    : Stack(nullptr, std::move(config), std::move(mobility)) {}
+
+Stack::Stack(net::Medium& medium, std::unique_ptr<sim::MobilityModel> mobility,
+             StackConfig config)
+    : Stack(std::make_unique<transport::SimTransport>(medium),
+            std::move(config), std::move(mobility)) {}
 
 Result<void> Stack::set_radio_powered(net::Technology tech, bool on) {
   transport::Endpoint* endpoint = transport_.endpoint(id_, tech);

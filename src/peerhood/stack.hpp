@@ -73,8 +73,8 @@ class Stack {
   /// Builder form; config.transport must be set (with_transport).
   explicit Stack(StackConfig config,
                  std::unique_ptr<sim::MobilityModel> mobility = nullptr);
-  /// Legacy compat: wraps `medium` in an owned SimTransport; behaviour is
-  /// byte-identical to the pre-transport stack.
+  /// Medium shorthand: assembles the device on an owned SimTransport over
+  /// `medium`.
   Stack(net::Medium& medium, std::unique_ptr<sim::MobilityModel> mobility,
         StackConfig config);
   Stack(const Stack&) = delete;
@@ -101,8 +101,13 @@ class Stack {
   void restart();
 
  private:
-  /// Set only by the legacy Medium constructor; declared before transport_
-  /// so the reference outlives every user.
+  /// The one assembly body every public constructor delegates to. Uses
+  /// `owned` when set, else config.transport.
+  Stack(std::unique_ptr<transport::Transport> owned, StackConfig config,
+        std::unique_ptr<sim::MobilityModel> mobility);
+
+  /// Set only by the Medium constructor; declared before transport_ so the
+  /// reference outlives every user.
   std::unique_ptr<transport::Transport> owned_transport_;
   transport::Transport& transport_;
   DeviceId id_;

@@ -54,7 +54,7 @@ class SnsServer {
   obs::Snapshot stats() const;
 
  private:
-  void on_accept(net::Link link);
+  void on_accept(transport::Channel link);
   Bytes filler(std::uint64_t base_bytes, std::uint32_t weight_permille) const;
 
   net::Medium& medium_;

@@ -1,36 +1,28 @@
 // SimTransport — the simulated-medium backend of ph::transport.
 //
-// A zero-behaviour-change adapter: every Endpoint/Channel/Scheduler call
-// forwards 1:1 to the corresponding net::Adapter / net::Link /
-// sim::Simulator call, in the same order the pre-transport code made it,
-// so RNG consumption, event ordering and therefore whole runs stay
-// byte-identical to driving the Medium directly (the chaos-determinism
-// and trace byte-compare gates hold through this layer). The only state
-// this backend adds is the common `transport.*` metric family
-// (register_transport_metrics): passive counter increments that touch
-// neither the RNG nor the event queue, so they count identically on every
-// same-seed run.
+// The Medium's radios are the endpoints: add_endpoint creates a
+// net::Adapter and endpoint() returns it, and the channels they hand out
+// are the Medium's own link ends. The scheduler forwards to
+// sim::Simulator. Nothing in between schedules events or draws from the
+// RNG, so same-seed runs stay byte-identical (the chaos-determinism and
+// trace byte-compare gates). The one thing this backend adds is the
+// common `transport.*` metric family (register_transport_metrics): the
+// adapters it hands out count into it, while radios created straight on
+// the Medium stay uncounted. The counts are passive increments that touch
+// neither the RNG nor the event queue.
 //
-// Several SimTransport instances may wrap one Medium (the legacy
-// Stack/Daemon compat constructors own one each); they share the Medium's
-// registry, trace, RNG and simulator, so which instance a call goes
-// through is unobservable.
+// Several SimTransport instances may share one Medium (the
+// Stack(net::Medium&, ...) constructor owns one per stack); they share the
+// Medium's registry, trace, RNG and simulator, so which instance a call
+// goes through is unobservable.
 #pragma once
 
-#include <map>
 #include <memory>
-#include <utility>
 
 #include "net/medium.hpp"
 #include "transport/transport.hpp"
 
 namespace ph::transport {
-
-/// Wraps one existing net::Adapter as a transport::Endpoint. The wrapper
-/// holds no state of its own — power, bindings and listeners live in the
-/// adapter — so wrapping the same adapter twice yields interchangeable
-/// endpoints.
-std::unique_ptr<Endpoint> wrap_adapter(net::Adapter& adapter);
 
 class SimTransport final : public Transport {
  public:
@@ -49,7 +41,9 @@ class SimTransport final : public Transport {
   DeviceId add_device(std::string name,
                       std::unique_ptr<sim::MobilityModel> mobility) override;
   Endpoint& add_endpoint(DeviceId device, net::TechProfile profile) override;
-  Endpoint* endpoint(DeviceId device, net::Technology tech) override;
+  Endpoint* endpoint(DeviceId device, net::Technology tech) override {
+    return medium_.adapter(device, tech);
+  }
 
   /// Sim-only test hook: the radio world beneath this transport, for code
   /// that genuinely needs medium internals (fault injectors, access
@@ -62,11 +56,9 @@ class SimTransport final : public Transport {
 
   net::Medium& medium_;
   std::unique_ptr<SimScheduler> scheduler_;
-  /// Common `transport.*` handles in the Medium's registry; endpoints and
-  /// channels created through this transport count into them.
+  /// Common `transport.*` handles in the Medium's registry; adapters
+  /// created through this transport count into them.
   TransportMetrics metrics_;
-  std::map<std::pair<DeviceId, net::Technology>, std::unique_ptr<Endpoint>>
-      endpoints_;
 };
 
 }  // namespace ph::transport

@@ -77,10 +77,6 @@ Bytes make_stream_message(proto::FrameKind kind, BytesView payload) {
   return out;
 }
 
-/// Upper bound on one stream message — a corrupt length prefix must not
-/// look like a gigabyte allocation.
-constexpr std::uint32_t kMaxStreamFrame = 16u << 20;
-
 int make_socket(int type) {
   return ::socket(AF_UNIX, type | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
 }
@@ -413,6 +409,7 @@ void SocketChannelState::deliver_frames() {
   while (open_ && in_buf_.size() - pos >= 4) {
     const std::uint32_t len = read_u32(BytesView(in_buf_).subspan(pos, 4));
     if (len > kMaxStreamFrame) {
+      transport_.note_bad_frame();
       do_break();
       return;
     }
@@ -458,7 +455,11 @@ void SocketChannelState::deliver_frames() {
     handler(frame->payload);
   }
   if (pos > 0) in_buf_.erase(in_buf_.begin(), in_buf_.begin() + pos);
-  if (open_ && peer_gone_ && !stalled) do_break();
+  if (open_ && peer_gone_ && !stalled) {
+    // Bytes left at EOF are a frame the peer cut off mid-write.
+    if (!in_buf_.empty()) transport_.note_bad_frame();
+    do_break();
+  }
 }
 
 void SocketChannelState::schedule_drain() {

@@ -23,6 +23,7 @@
 // channel *break*, exactly like a simulated link losing radio contact.
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
@@ -41,6 +42,11 @@ class WallProfiler;
 }  // namespace ph::obs
 
 namespace ph::transport {
+
+/// Upper bound on one stream message — a corrupt length prefix must not
+/// look like a gigabyte allocation. A channel receiving a longer length
+/// prefix counts a bad frame and breaks.
+inline constexpr std::uint32_t kMaxStreamFrame = 16u << 20;
 
 struct SocketTransportConfig {
   /// Rendezvous directory holding every endpoint's sockets. Empty = create

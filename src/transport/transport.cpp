@@ -2,34 +2,6 @@
 
 namespace ph::transport {
 
-bool Channel::open() const noexcept { return state_ && state_->chan_open(); }
-
-DeviceId Channel::remote_node() const noexcept {
-  return state_ ? state_->chan_remote() : net::kInvalidNode;
-}
-
-net::Technology Channel::technology() const noexcept {
-  return state_ ? state_->chan_technology() : net::Technology::bluetooth;
-}
-
-void Channel::on_receive(std::function<void(BytesView)> handler) {
-  if (state_) state_->chan_on_receive(std::move(handler));
-}
-
-void Channel::on_break(std::function<void()> handler) {
-  if (state_) state_->chan_on_break(std::move(handler));
-}
-
-void Channel::send(BytesView payload) {
-  if (state_) state_->chan_send(payload);
-}
-
-double Channel::signal() const { return state_ ? state_->chan_signal() : 0.0; }
-
-void Channel::close() {
-  if (state_) state_->chan_close();
-}
-
 TransportMetrics register_transport_metrics(obs::Registry& registry) {
   TransportMetrics m;
   m.datagrams_sent = &registry.counter("transport.datagrams_sent");

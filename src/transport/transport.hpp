@@ -6,10 +6,9 @@
 // ordered message streams) and a *scheduler* (timers + a clock). Two
 // backends implement it:
 //
-//   * SimTransport   (sim_transport.hpp)    — a zero-overhead adapter over
-//     the simulated net::Medium + sim::Simulator. Behaviour, event order
-//     and RNG consumption are byte-identical to calling the Medium
-//     directly; same seed ⇒ same run.
+//   * SimTransport   (sim_transport.hpp)    — the simulated net::Medium +
+//     sim::Simulator. The Medium's own radios (net::Adapter) are its
+//     endpoints and their link ends its channels; same seed ⇒ same run.
 //   * SocketTransport (socket_transport.hpp) — real POSIX sockets (UNIX
 //     domain datagram + stream) driven by an epoll wall-clock event loop,
 //     so actual daemon instances exchange the same wire formats over
@@ -99,8 +98,8 @@ class ChannelState {
 
 }  // namespace detail
 
-/// The transport analogue of net::Link: connection-oriented, ordered,
-/// reliable message delivery between two endpoints of one technology.
+/// Connection-oriented, ordered, reliable message delivery between two
+/// endpoints of one technology (a simulated link end, or a socket stream).
 /// What a Channel cannot survive is the substrate dropping the pair (peer
 /// out of radio range, socket reset) — then it *breaks* and both sides'
 /// break handlers fire. Seamless recovery across technologies is the
@@ -117,29 +116,41 @@ class Channel {
 
   bool valid() const noexcept { return state_ != nullptr; }
   /// True while data can still be sent (not closed, not broken).
-  bool open() const noexcept;
+  bool open() const noexcept { return state_ && state_->chan_open(); }
 
-  DeviceId remote_node() const noexcept;
-  net::Technology technology() const noexcept;
+  DeviceId remote_node() const noexcept {
+    return state_ ? state_->chan_remote() : net::kInvalidNode;
+  }
+  net::Technology technology() const noexcept {
+    return state_ ? state_->chan_technology() : net::Technology::bluetooth;
+  }
 
   /// Handler for message payloads arriving from the peer, delivered in
   /// send order, exactly once, while the channel is open.
-  void on_receive(std::function<void(BytesView)> handler);
+  void on_receive(std::function<void(BytesView)> handler) {
+    if (state_) state_->chan_on_receive(std::move(handler));
+  }
 
   /// Handler invoked once when the channel terminates for any reason other
   /// than a local close(): peer closed, peer unreachable, endpoint
   /// powered off, socket reset.
-  void on_break(std::function<void()> handler);
+  void on_break(std::function<void()> handler) {
+    if (state_) state_->chan_on_break(std::move(handler));
+  }
 
   /// Queues a message to the peer; silently discarded if no longer open.
-  void send(BytesView payload);
+  void send(BytesView payload) {
+    if (state_) state_->chan_send(payload);
+  }
 
   /// Current signal strength towards the peer in [0,1]; real substrates
   /// report 1 while the connection is alive.
-  double signal() const;
+  double signal() const { return state_ ? state_->chan_signal() : 0.0; }
 
   /// Graceful local close; the peer observes a break shortly afterwards.
-  void close();
+  void close() {
+    if (state_) state_->chan_close();
+  }
 
   /// Two handles are equal when they refer to the same underlying channel.
   friend bool operator==(const Channel& a, const Channel& b) noexcept {
@@ -160,9 +171,9 @@ using AcceptHandler = std::function<void(Channel channel)>;
 using ConnectHandler = std::function<void(Result<Channel>)>;
 
 /// The per-radio vocabulary the PeerHood plugins adapt: discovery,
-/// unreliable port-addressed datagrams, and channel open/accept. Mirrors
-/// net::Adapter on the simulated substrate; on the socket substrate each
-/// endpoint owns real datagram + listening sockets.
+/// unreliable port-addressed datagrams, and channel open/accept. On the
+/// simulated substrate every net::Adapter is an endpoint; on the socket
+/// substrate each endpoint owns real datagram + listening sockets.
 class Endpoint {
  public:
   virtual ~Endpoint() = default;

@@ -1,5 +1,3 @@
-#include "net/link.hpp"
-
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -10,6 +8,8 @@
 
 namespace ph::net {
 namespace {
+
+using transport::Channel;
 
 TechProfile lossless_bt() {
   TechProfile p = bluetooth_2_0();
@@ -29,10 +29,10 @@ class LinkTest : public ::testing::Test {
   }
 
   /// Establishes a link a->b on port 5; returns {client link, server link}.
-  std::pair<Link, Link> connect() {
-    Link client, server;
-    radio_b_->listen(5, [&](Link link) { server = link; });
-    radio_a_->connect(b_, 5, [&](Result<Link> link) {
+  std::pair<Channel, Channel> connect() {
+    Channel client, server;
+    radio_b_->listen(5, [&](Channel link) { server = link; });
+    radio_a_->connect(b_, 5, [&](Result<Channel> link) {
       ASSERT_TRUE(link.ok()) << link.error().to_string();
       client = *link;
     });
@@ -51,8 +51,9 @@ class LinkTest : public ::testing::Test {
 
 TEST_F(LinkTest, ConnectTakesConnectLatency) {
   bool connected = false;
-  radio_b_->listen(5, [](Link) {});
-  radio_a_->connect(b_, 5, [&](Result<Link> link) { connected = link.ok(); });
+  radio_b_->listen(5, [](Channel) {});
+  radio_a_->connect(b_, 5,
+                    [&](Result<Channel> link) { connected = link.ok(); });
   simulator_.run_until(sim::milliseconds(500));  // BT paging is 640 ms
   EXPECT_FALSE(connected);
   simulator_.run_until(sim::seconds(1));
@@ -61,7 +62,7 @@ TEST_F(LinkTest, ConnectTakesConnectLatency) {
 
 TEST_F(LinkTest, ConnectToNonListenerFails) {
   Error error;
-  radio_a_->connect(b_, 99, [&](Result<Link> link) {
+  radio_a_->connect(b_, 99, [&](Result<Channel> link) {
     ASSERT_FALSE(link.ok());
     error = link.error();
   });
@@ -72,9 +73,9 @@ TEST_F(LinkTest, ConnectToNonListenerFails) {
 TEST_F(LinkTest, ConnectToUnreachableNodeFails) {
   NodeId far = medium_.add_node(
       "far", std::make_unique<sim::StaticMobility>(sim::Vec2{500, 0}));
-  medium_.add_adapter(far, lossless_bt()).listen(5, [](Link) {});
+  medium_.add_adapter(far, lossless_bt()).listen(5, [](Channel) {});
   Error error;
-  radio_a_->connect(far, 5, [&](Result<Link> link) {
+  radio_a_->connect(far, 5, [&](Result<Channel> link) {
     ASSERT_FALSE(link.ok());
     error = link.error();
   });
@@ -83,10 +84,10 @@ TEST_F(LinkTest, ConnectToUnreachableNodeFails) {
 }
 
 TEST_F(LinkTest, ConnectToPoweredOffPeerFails) {
-  radio_b_->listen(5, [](Link) {});
+  radio_b_->listen(5, [](Channel) {});
   radio_b_->set_powered(false);
   bool failed = false;
-  radio_a_->connect(b_, 5, [&](Result<Link> link) { failed = !link.ok(); });
+  radio_a_->connect(b_, 5, [&](Result<Channel> link) { failed = !link.ok(); });
   simulator_.run_until(sim::seconds(2));
   EXPECT_TRUE(failed);
 }
@@ -199,7 +200,7 @@ TEST_F(LinkTest, StatsCountTraffic) {
 }
 
 TEST_F(LinkTest, InvalidLinkHandleIsInert) {
-  Link link;
+  Channel link;
   EXPECT_FALSE(link.valid());
   EXPECT_FALSE(link.open());
   link.send(to_bytes("x"));  // must not crash
@@ -216,13 +217,13 @@ TEST_F(LinkTest, RetransmissionsDelayButDeliver) {
       "d", std::make_unique<sim::StaticMobility>(sim::Vec2{0, 4}));
   Adapter& radio_c = medium_.add_adapter(c, lossy);
   Adapter& radio_d = medium_.add_adapter(d, lossy);
-  Link client;
+  Channel client;
   int received = 0;
-  radio_d.listen(5, [&](Link link) {
-    auto server = std::make_shared<Link>(link);
+  radio_d.listen(5, [&](Channel link) {
+    auto server = std::make_shared<Channel>(link);
     server->on_receive([&received, server](BytesView) { ++received; });
   });
-  radio_c.connect(d, 5, [&](Result<Link> link) { client = *link; });
+  radio_c.connect(d, 5, [&](Result<Channel> link) { client = *link; });
   simulator_.run_until(simulator_.now() + sim::seconds(2));
   for (int i = 0; i < 100; ++i) client.send(to_bytes("x"));
   simulator_.run_until(simulator_.now() + sim::minutes(1));

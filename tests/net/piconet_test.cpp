@@ -9,6 +9,8 @@
 namespace ph::net {
 namespace {
 
+using transport::Channel;
+
 TechProfile capped_bt() {
   TechProfile p = bluetooth_2_0();
   p.frame_loss = 0.0;
@@ -21,8 +23,8 @@ class PiconetTest : public ::testing::Test {
     hub_ = medium_.add_node("hub", std::make_unique<sim::StaticMobility>(
                                        sim::Vec2{0, 0}));
     hub_radio_ = &medium_.add_adapter(hub_, capped_bt());
-    hub_radio_->listen(5, [this](Link link) {
-      accepted_.push_back(std::make_shared<Link>(link));
+    hub_radio_->listen(5, [this](Channel link) {
+      accepted_.push_back(std::make_shared<Channel>(link));
     });
   }
 
@@ -36,10 +38,11 @@ class PiconetTest : public ::testing::Test {
   }
 
   /// Connects spoke -> hub; returns the link (invalid on refusal).
-  Result<Link> connect_from(NodeId spoke) {
-    Result<Link> outcome = Error{Errc::timeout, "never completed"};
+  Result<Channel> connect_from(NodeId spoke) {
+    Result<Channel> outcome = Error{Errc::timeout, "never completed"};
     medium_.adapter(spoke, Technology::bluetooth)
-        ->connect(hub_, 5, [&](Result<Link> link) { outcome = std::move(link); });
+        ->connect(hub_, 5,
+                  [&](Result<Channel> link) { outcome = std::move(link); });
     simulator_.run_for(sim::seconds(2));
     return outcome;
   }
@@ -48,11 +51,11 @@ class PiconetTest : public ::testing::Test {
   Medium medium_;
   NodeId hub_ = 0;
   Adapter* hub_radio_ = nullptr;
-  std::vector<std::shared_ptr<Link>> accepted_;
+  std::vector<std::shared_ptr<Channel>> accepted_;
 };
 
 TEST_F(PiconetTest, SevenLinksFitTheEighthIsRefused) {
-  std::vector<Link> links;
+  std::vector<Channel> links;
   for (int i = 0; i < 7; ++i) {
     auto link = connect_from(add_spoke(i));
     ASSERT_TRUE(link.ok()) << "link " << i << ": " << link.error().to_string();
@@ -66,7 +69,7 @@ TEST_F(PiconetTest, SevenLinksFitTheEighthIsRefused) {
 }
 
 TEST_F(PiconetTest, ClosingALinkFreesCapacity) {
-  std::vector<Link> links;
+  std::vector<Channel> links;
   for (int i = 0; i < 7; ++i) {
     links.push_back(*connect_from(add_spoke(i)));
   }
@@ -78,7 +81,7 @@ TEST_F(PiconetTest, ClosingALinkFreesCapacity) {
 
 TEST_F(PiconetTest, BreakageAlsoFreesCapacity) {
   std::vector<NodeId> spokes;
-  std::vector<Link> links;
+  std::vector<Channel> links;
   for (int i = 0; i < 7; ++i) {
     spokes.push_back(add_spoke(i));
     links.push_back(*connect_from(spokes.back()));
@@ -97,16 +100,16 @@ TEST_F(PiconetTest, WlanHasNoLinkCap) {
   NodeId hub = medium.add_node(
       "hub", std::make_unique<sim::StaticMobility>(sim::Vec2{0, 0}));
   Adapter& hub_radio = medium.add_adapter(hub, wlan);
-  std::vector<std::shared_ptr<Link>> accepted;
-  hub_radio.listen(5, [&](Link link) {
-    accepted.push_back(std::make_shared<Link>(link));
+  std::vector<std::shared_ptr<Channel>> accepted;
+  hub_radio.listen(5, [&](Channel link) {
+    accepted.push_back(std::make_shared<Channel>(link));
   });
   int successes = 0;
   for (int i = 0; i < 20; ++i) {
     NodeId spoke = medium.add_node(
         "s" + std::to_string(i),
         std::make_unique<sim::StaticMobility>(sim::Vec2{5, 0}));
-    medium.add_adapter(spoke, wlan).connect(hub, 5, [&](Result<Link> link) {
+    medium.add_adapter(spoke, wlan).connect(hub, 5, [&](Result<Channel> link) {
       if (link.ok()) ++successes;
     });
   }

@@ -23,22 +23,22 @@ class PluginTest : public ::testing::Test {
 
 TEST_F(PluginTest, BtPluginIdentity) {
   net::Adapter& adapter = medium_.add_adapter(node_, net::bluetooth_2_0());
-  auto plugin = make_bt_plugin(adapter);
+  auto plugin = make_plugin(adapter);
   EXPECT_EQ(plugin->name(), "BTPlugin");
   EXPECT_EQ(plugin->technology(), net::Technology::bluetooth);
-  EXPECT_EQ(plugin->endpoint().device(), adapter.node());
+  EXPECT_EQ(plugin->endpoint().device(), adapter.device());
 }
 
 TEST_F(PluginTest, WlanPluginIdentity) {
   net::Adapter& adapter = medium_.add_adapter(node_, net::wlan_80211b());
-  auto plugin = make_wlan_plugin(adapter);
+  auto plugin = make_plugin(adapter);
   EXPECT_EQ(plugin->name(), "WLANPlugin");
   EXPECT_EQ(plugin->technology(), net::Technology::wlan);
 }
 
 TEST_F(PluginTest, GprsPluginIdentity) {
   net::Adapter& adapter = medium_.add_adapter(node_, net::gprs());
-  auto plugin = make_gprs_plugin(adapter);
+  auto plugin = make_plugin(adapter);
   EXPECT_EQ(plugin->name(), "GPRSPlugin");
   EXPECT_EQ(plugin->technology(), net::Technology::gprs);
 }
@@ -47,9 +47,9 @@ TEST_F(PluginTest, PreferenceOrdersFreeTechnologiesFirst) {
   net::Adapter& bt = medium_.add_adapter(node_, net::bluetooth_2_0());
   net::Adapter& wlan = medium_.add_adapter(node_, net::wlan_80211b());
   net::Adapter& cell = medium_.add_adapter(node_, net::gprs());
-  auto bt_plugin = make_bt_plugin(bt);
-  auto wlan_plugin = make_wlan_plugin(wlan);
-  auto gprs_plugin = make_gprs_plugin(cell);
+  auto bt_plugin = make_plugin(bt);
+  auto wlan_plugin = make_plugin(wlan);
+  auto gprs_plugin = make_plugin(cell);
   // The thesis prefers cost-free short-range radios over metered GPRS.
   EXPECT_LT(bt_plugin->preference(), gprs_plugin->preference());
   EXPECT_LT(wlan_plugin->preference(), gprs_plugin->preference());
@@ -66,7 +66,7 @@ TEST_F(PluginTest, MakePluginDispatchesOnTechnology) {
 
 TEST_F(PluginTest, ProfilePassesThrough) {
   net::Adapter& adapter = medium_.add_adapter(node_, net::wlan_80211a());
-  auto plugin = make_wlan_plugin(adapter);
+  auto plugin = make_plugin(adapter);
   EXPECT_EQ(plugin->profile().name, "IEEE 802.11a");
   EXPECT_DOUBLE_EQ(plugin->profile().bandwidth_bps, 54e6);
 }
