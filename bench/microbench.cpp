@@ -2,7 +2,10 @@
 // simulation kernel's event throughput, the simulated transport seam, the
 // wire codecs and the telemetry scrape. Not tied to a thesis artifact —
 // these document the harness' own capacity, i.e. how large an overlay
-// simulation the repository can drive.
+// simulation the repository can drive. The transport seam and codec
+// benchmarks also report `allocs_per_op`, heap allocations per iteration
+// counted by the tests/testutil operator-new interposer linked into this
+// binary.
 //
 // Set PH_METRICS_JSON=/path/out.json to also dump a
 // `sim.kernel.*` snapshot — one deterministic run of the schedule/run and
@@ -25,11 +28,20 @@
 #include "proto/messages.hpp"
 #include "sim/mobility.hpp"
 #include "sim/simulator.hpp"
+#include "tests/testutil/alloc_counter.hpp"
 #include "transport/sim_transport.hpp"
 
 using namespace ph;
 
 namespace {
+
+/// Sets the `allocs_per_op` counter: allocations since `before`, averaged
+/// over the iterations. Call right after the timing loop.
+void report_allocs(benchmark::State& state, std::size_t before) {
+  state.counters["allocs_per_op"] = benchmark::Counter(
+      static_cast<double>(testutil::allocations() - before),
+      benchmark::Counter::kAvgIterations);
+}
 
 void BM_SimulatorScheduleRun(benchmark::State& state) {
   const int events = static_cast<int>(state.range(0));
@@ -253,10 +265,12 @@ void BM_SimDatagram(benchmark::State& state) {
   std::int64_t delivered = 0;
   pair.eb->bind(7, [&](transport::DeviceId, BytesView) { ++delivered; });
   const Bytes payload(64, 0x5A);
+  const std::size_t allocs = testutil::allocations();
   for (auto _ : state) {
     pair.ea->send_datagram(pair.b, 7, payload);
     pair.simulator.run_all();
   }
+  report_allocs(state, allocs);
   if (delivered != state.iterations()) state.SkipWithError("datagram lost");
   state.SetItemsProcessed(state.iterations());
 }
@@ -280,10 +294,12 @@ void BM_SimChannelSend(benchmark::State& state) {
     return;
   }
   const Bytes payload(64, 0x5A);
+  const std::size_t allocs = testutil::allocations();
   for (auto _ : state) {
     client.send(payload);
     pair.simulator.run_all();
   }
+  report_allocs(state, allocs);
   if (delivered != state.iterations()) state.SkipWithError("message lost");
   state.SetItemsProcessed(state.iterations());
 }
@@ -308,21 +324,25 @@ proto::Response heavy_response() {
 void BM_EncodeResponse(benchmark::State& state) {
   const proto::Response response = heavy_response();
   std::size_t bytes = 0;
+  const std::size_t allocs = testutil::allocations();
   for (auto _ : state) {
     Bytes encoded = proto::encode(response);
     bytes = encoded.size();
     benchmark::DoNotOptimize(encoded);
   }
+  report_allocs(state, allocs);
   state.SetBytesProcessed(state.iterations() * static_cast<int64_t>(bytes));
 }
 BENCHMARK(BM_EncodeResponse);
 
 void BM_DecodeResponse(benchmark::State& state) {
   const Bytes encoded = proto::encode(heavy_response());
+  const std::size_t allocs = testutil::allocations();
   for (auto _ : state) {
     auto decoded = proto::decode_response(encoded);
     benchmark::DoNotOptimize(decoded);
   }
+  report_allocs(state, allocs);
   state.SetBytesProcessed(state.iterations() *
                           static_cast<int64_t>(encoded.size()));
 }

@@ -82,12 +82,13 @@ void CommunityClient::drain_queue() {
     std::weak_ptr<char> alive = alive_token_;
     ResponseCallback user_done = std::move(next.done);
     const peerhood::DeviceId device = next.device;
-    const proto::Request request = next.request;
     const peerhood::ConnectOptions options = next.options;
     const int busy_retries = next.busy_retries;
     const sim::Duration call_timeout = next.timeout;
-    next.done = [this, alive, device, request, options, busy_retries,
-                 call_timeout,
+    // The completion keeps the one copy of the request a busy retry needs;
+    // the call itself consumes `next.request`.
+    next.done = [this, alive, device, request = next.request, options,
+                 busy_retries, call_timeout,
                  user_done = std::move(user_done)](Result<proto::Response> r) {
       if (alive.expired()) {
         // Client (and therefore its owner) is gone; user_done may capture
@@ -135,14 +136,14 @@ void CommunityClient::start_call(QueuedCall call) {
   const sim::Time rpc_start = peerhood_.daemon().scheduler().now();
   const obs::SpanId span =
       trace_->begin_span("community.rpc", rpc_start, peerhood_.self(),
-                         std::string(proto::to_string(request.op)));
+                         proto::to_string(request.op));
   // The request header carries the RPC span across the radio: the server
   // parents its handling span under it (one tree spanning both devices).
   request.trace_parent = span;
   std::weak_ptr<char> alive = alive_token_;
   obs::Trace::Scope scope(*trace_, span);  // parents the session's net spans
   peerhood_.connect(
-      device, std::string(kServiceName), options,
+      device, kServiceName, options,
       [this, alive, call_timeout, span, rpc_start,
        request = std::move(request),
        done = std::move(done)](Result<peerhood::Connection> connected) mutable {
@@ -483,7 +484,7 @@ void CommunityClient::fetch_content_chunked(
     };
     auto state = std::make_shared<ChunkState>();
     peerhood_.connect(
-        *device, std::string(kServiceName), config_.transfer_options,
+        *device, kServiceName, config_.transfer_options,
         [this, alive, state, member, name, chunk_size,
          progress = std::move(progress), done = std::move(done)](
             Result<peerhood::Connection> connected) mutable {

@@ -54,10 +54,9 @@ void CommunityServer::stop() {
 
 void CommunityServer::on_accept(peerhood::Connection connection) {
   c_sessions_accepted_->inc();
-  // The connection handle is captured by its own handler and released when
-  // the session ends.
-  auto holder = std::make_shared<peerhood::Connection>(std::move(connection));
-  holder->on_message([this, holder](BytesView data) {
+  // The connection handle is captured by its own handler, which keeps the
+  // session alive until it ends and releases its handlers.
+  connection.on_message([this, connection](BytesView data) mutable {
     auto request = proto::decode_request(data);
     if (!request) {
       c_bad_requests_->inc();
@@ -70,14 +69,10 @@ void CommunityServer::on_accept(peerhood::Connection connection) {
     const sim::Time now = peerhood_.daemon().scheduler().now();
     const obs::SpanId span = trace_->begin_span_under(
         request->trace_parent, "community.server.handle", now,
-        peerhood_.self(), std::string(proto::to_string(request->op)));
+        peerhood_.self(), proto::to_string(request->op));
     obs::Trace::Scope handling(*trace_, span);  // parents the response send
-    holder->send(proto::encode(handle(*request)));
+    connection.send(proto::encode(handle(*request)));
     trace_->end_span(span, peerhood_.daemon().scheduler().now());
-  });
-  holder->on_close([holder](const Error&) {
-    // Dropping the captured shared_ptr would destroy the lambda that holds
-    // it while it executes; clearing handlers is deferred to destruction.
   });
 }
 

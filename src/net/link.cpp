@@ -4,25 +4,25 @@
 
 namespace ph::net::detail {
 
-bool LinkEnd::chan_open() const { return state_->open && !state_->closing; }
+bool LinkEnd::chan_open() const { return link_.open && !link_.closing; }
 
 void LinkEnd::chan_send(BytesView payload) {
-  if (const auto* m = state_->metrics_for(self_)) {
+  if (const auto* m = link_.metrics_for(self())) {
     m->channel_messages->inc();
     m->channel_bytes->inc(payload.size());
   }
   if (!chan_open()) return;
-  state_->medium->link_send(state_, self_, payload);
+  link_.medium->link_send(link_, self(), payload);
 }
 
 double LinkEnd::chan_signal() const {
   if (!chan_open()) return 0.0;
-  return state_->medium->signal(state_->a, state_->b, state_->profile);
+  return link_.medium->signal(link_.a, link_.b, link_.profile);
 }
 
 void LinkEnd::chan_close() {
   if (!chan_open()) return;
-  state_->medium->link_close(state_, self_);
+  link_.medium->link_close(link_, self());
 }
 
 }  // namespace ph::net::detail

@@ -251,7 +251,8 @@ double Medium::signal(NodeId a, NodeId b, const TechProfile& profile) const {
   if (a == b) return 0.0;
   const sim::Time now = simulator_.now();
   if (signal_memo_at_ != now || signal_memo_epoch_ != world_epoch_) {
-    signal_memo_.clear();
+    ++signal_memo_stamp_;  // empties every slot at once
+    signal_memo_used_ = 0;
     signal_memo_at_ = now;
     signal_memo_epoch_ = world_epoch_;
   }
@@ -268,15 +269,37 @@ double Medium::signal(NodeId a, NodeId b, const TechProfile& profile) const {
   key.flags = (static_cast<std::uint32_t>(profile.tech) << 2) |
               (profile.via_gateway ? 2u : 0u) |
               (profile.infrastructure ? 1u : 0u);
-  auto it = signal_memo_.find(key);
-  if (it != signal_memo_.end()) {
+  // Keep the load at most one half, so probes stay short and a free slot
+  // always exists.
+  if ((signal_memo_used_ + 1) * 2 > signal_memo_.size()) {
+    std::vector<SignalSlot> old(
+        std::max<std::size_t>(64, signal_memo_.size() * 2));
+    old.swap(signal_memo_);
+    for (const SignalSlot& slot : old) {
+      if (slot.stamp == signal_memo_stamp_) signal_slot(slot.key) = slot;
+    }
+  }
+  SignalSlot& slot = signal_slot(key);
+  if (slot.stamp == signal_memo_stamp_) {
     c_signal_memo_hits_->inc();
-    return it->second;
+    return slot.value;
   }
   c_signal_evals_->inc();  // the pair-evaluation cost the benches compare
+  // signal_physics never re-enters signal(), so `slot` stays valid.
   const double value = signal_physics(a, b, profile);
-  signal_memo_.emplace(key, value);
+  slot.key = key;
+  slot.value = value;
+  slot.stamp = signal_memo_stamp_;
+  ++signal_memo_used_;
   return value;
+}
+
+Medium::SignalSlot& Medium::signal_slot(const SignalKey& key) const noexcept {
+  const std::size_t mask = signal_memo_.size() - 1;
+  for (std::size_t i = key.hash() & mask;; i = (i + 1) & mask) {
+    SignalSlot& slot = signal_memo_[i];
+    if (slot.stamp != signal_memo_stamp_ || slot.key == key) return slot;
+  }
 }
 
 double Medium::signal_physics(NodeId a, NodeId b,
@@ -556,26 +579,25 @@ void Medium::open_link(Adapter& from, NodeId dst, Port port,
     // Accept first so the server side installs its handlers before any
     // client payload can arrive.
     if (state->metrics_b) state->metrics_b->channels_accepted->inc();
-    listener->second(
-        transport::Channel(std::make_shared<detail::LinkEnd>(state, dst)));
+    listener->second(state->channel_for(dst));
     if (state->metrics_a) state->metrics_a->channels_opened->inc();
-    done(transport::Channel(std::make_shared<detail::LinkEnd>(state, src)));
+    done(state->channel_for(src));
   });
 }
 
-void Medium::link_send(const std::shared_ptr<detail::LinkState>& state,
-                       NodeId sender, BytesView payload) {
-  if (!state->open) return;
+void Medium::link_send(detail::LinkState& state, NodeId sender,
+                       BytesView payload) {
+  if (!state.open) return;
   c_link_messages_sent_->inc();
   c_link_bytes_sent_->inc(payload.size());
-  const TechProfile& profile = state->profile;
+  const TechProfile& profile = state.profile;
   const TechCounters& tc = tech_counters_[static_cast<std::size_t>(profile.tech)];
   tc.link_bytes->inc(payload.size());
   tc.messages->inc();
   const obs::SpanId span =
       trace_.begin_span("net.link.send", simulator_.now(), sender, "link");
   sim::Time& busy =
-      sender == state->a ? state->busy_a_to_b : state->busy_b_to_a;
+      sender == state.a ? state.busy_a_to_b : state.busy_b_to_a;
   const sim::Time depart = std::max(simulator_.now(), busy);
   const sim::Duration flight = transfer_time(profile, payload.size(), true);
   if (depart > simulator_.now()) {
@@ -585,8 +607,8 @@ void Medium::link_send(const std::shared_ptr<detail::LinkState>& state,
     trace_.end_span(q, depart);
   }
   busy = depart + flight - profile.base_latency;
-  const NodeId receiver = state->peer_of(sender);
-  std::weak_ptr<detail::LinkState> weak = state;
+  const NodeId receiver = state.peer_of(sender);
+  std::weak_ptr<detail::LinkState> weak = state.weak_from_this();
   const obs::prof::TagScope delivery_tag(obs::prof::Center::net_delivery);
   simulator_.schedule_at(
       depart + flight,
@@ -599,10 +621,10 @@ void Medium::link_send(const std::shared_ptr<detail::LinkState>& state,
           break_link(st);
           return;
         }
-        // Invoke through a copy: the handler may replace itself (session
-        // handshakes install new handlers), which would otherwise destroy
-        // the executing lambda.
-        auto rx = st->rx_for(receiver);
+        // Called in place: the slot keeps the running handler alive when
+        // it replaces itself (session handshakes install new handlers),
+        // and `st` keeps the slot alive.
+        auto& rx = st->rx_for(receiver);
         if (!rx) return;
         if (const auto* m = st->metrics_for(receiver)) {
           m->channel_bytes->inc(frame.size());
@@ -614,28 +636,28 @@ void Medium::link_send(const std::shared_ptr<detail::LinkState>& state,
       });
 }
 
-void Medium::link_close(const std::shared_ptr<detail::LinkState>& state,
-                        NodeId closer) {
-  if (!state->open || state->closing) return;
-  state->closing = true;
+void Medium::link_close(detail::LinkState& state, NodeId closer) {
+  if (!state.open || state.closing) return;
+  state.closing = true;
   // A closing link no longer occupies piconet capacity (open_link_count
   // always skipped `closing` links when it still scanned the world).
-  unregister_link(*state);
-  const NodeId peer = state->peer_of(closer);
+  unregister_link(state);
+  const NodeId peer = state.peer_of(closer);
   // Flush: messages already queued (e.g. an application-level goodbye sent
   // just before close()) still reach the peer; the link dies one
   // propagation delay after the last of them departs.
   const sim::Time flushed = std::max(
-      {simulator_.now(), state->busy_a_to_b, state->busy_b_to_a});
-  std::weak_ptr<detail::LinkState> weak = state;
+      {simulator_.now(), state.busy_a_to_b, state.busy_b_to_a});
+  std::weak_ptr<detail::LinkState> weak = state.weak_from_this();
   const obs::prof::TagScope link_tag(obs::prof::Center::net_link);
   simulator_.schedule_at(
-      flushed + state->profile.base_latency, [weak, peer] {
+      flushed + state.profile.base_latency, [weak, peer] {
         auto st = weak.lock();
         if (!st || !st->open) return;
         st->open = false;
         if (st->medium != nullptr) st->medium->note_dead_link();
-        auto brk = st->brk_for(peer);  // copy: handler may reset itself
+        // Moved out before the call: the handler may reset itself.
+        auto brk = std::move(st->brk_for(peer));
         // Release both sides' handlers: they may capture Channel handles
         // that own this state, and a dead link must not keep such cycles
         // alive.
@@ -655,8 +677,8 @@ void Medium::break_link(const std::shared_ptr<detail::LinkState>& state) {
   c_links_broken_->inc();
   PH_LOG(trace, "net") << "link " << state->a << "<->" << state->b
                        << " broke (" << state->profile.name << ")";
-  auto brk_a = state->brk_a;
-  auto brk_b = state->brk_b;
+  auto brk_a = std::move(state->brk_a);
+  auto brk_b = std::move(state->brk_b);
   state->rx_a = nullptr;
   state->rx_b = nullptr;
   state->brk_a = nullptr;

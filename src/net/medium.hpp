@@ -17,7 +17,6 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "net/adapter.hpp"
@@ -183,9 +182,8 @@ class Medium {
   void start_inquiry(Adapter& from, transport::InquiryHandler done);
   void open_link(Adapter& from, NodeId dst, Port port,
                  transport::ConnectHandler done);
-  void link_send(const std::shared_ptr<detail::LinkState>& state, NodeId sender,
-                 BytesView payload);
-  void link_close(const std::shared_ptr<detail::LinkState>& state, NodeId closer);
+  void link_send(detail::LinkState& state, NodeId sender, BytesView payload);
+  void link_close(detail::LinkState& state, NodeId closer);
   void break_link(const std::shared_ptr<detail::LinkState>& state);
   void break_links_of(NodeId node, Technology tech);
 
@@ -248,15 +246,25 @@ class Medium {
     std::uint64_t range_bits = 0;  // bit pattern of profile.range_m
     std::uint32_t flags = 0;       // tech + via_gateway + infrastructure
     bool operator==(const SignalKey&) const = default;
-  };
-  struct SignalKeyHash {
-    std::size_t operator()(const SignalKey& k) const noexcept {
-      std::uint64_t h = k.pair * 0x9E3779B97F4A7C15ull;
-      h ^= k.range_bits + 0x9E3779B97F4A7C15ull + (h << 6) + (h >> 2);
-      h ^= static_cast<std::uint64_t>(k.flags) + (h << 6) + (h >> 2);
+    std::size_t hash() const noexcept {
+      std::uint64_t h = pair * 0x9E3779B97F4A7C15ull;
+      h ^= range_bits + 0x9E3779B97F4A7C15ull + (h << 6) + (h >> 2);
+      h ^= static_cast<std::uint64_t>(flags) + (h << 6) + (h >> 2);
       return static_cast<std::size_t>(h);
     }
   };
+  /// One open-addressing slot of the signal memo. A slot is occupied only
+  /// while its stamp equals the memo's current stamp, so starting a new
+  /// timestamp empties the whole table by bumping one counter.
+  struct SignalSlot {
+    SignalKey key;
+    double value = 0.0;
+    std::uint64_t stamp = 0;
+  };
+
+  /// The slot holding `key` under the current stamp, or the empty slot
+  /// where it belongs (linear probing; the table is never full).
+  SignalSlot& signal_slot(const SignalKey& key) const noexcept;
 
   /// A cached position is valid only while its timestamp equals the
   /// current virtual time; this sentinel marks "never sampled".
@@ -287,9 +295,12 @@ class Medium {
   mutable std::vector<sim::Time> pos_cache_at_;
   mutable std::vector<sim::Vec2> pos_cache_;
   mutable std::vector<std::uint32_t> spatial_scratch_;
-  // Per-timestamp signal memo: valid while (timestamp, epoch) both match;
-  // clear() keeps bucket capacity so per-event resets are cheap.
-  mutable std::unordered_map<SignalKey, double, SignalKeyHash> signal_memo_;
+  // Per-timestamp signal memo: valid while (timestamp, epoch) both match.
+  // A flat power-of-two table; it grows (allocates) only while a single
+  // timestamp needs more entries than any before it.
+  mutable std::vector<SignalSlot> signal_memo_;
+  mutable std::size_t signal_memo_used_ = 0;
+  mutable std::uint64_t signal_memo_stamp_ = 0;
   mutable sim::Time signal_memo_at_ = 0;
   mutable std::uint64_t signal_memo_epoch_ = 0;
   std::uint64_t world_epoch_ = 1;

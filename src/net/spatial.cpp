@@ -9,16 +9,59 @@ std::int32_t SpatialGrid::cell_coord(double v) const noexcept {
   return static_cast<std::int32_t>(std::floor(v / cell_size_));
 }
 
+namespace {
+std::size_t mix(std::uint64_t key) noexcept {
+  return static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ull) >> 17);
+}
+}  // namespace
+
+SpatialGrid::Cell& SpatialGrid::slot(std::uint64_t key) noexcept {
+  const std::size_t mask = table_.size() - 1;
+  for (std::size_t i = mix(key) & mask;; i = (i + 1) & mask) {
+    Cell& cell = table_[i];
+    if (cell.stamp != stamp_ || cell.key == key) return cell;
+  }
+}
+
+const SpatialGrid::Cell* SpatialGrid::find(std::uint64_t key) const noexcept {
+  if (table_.empty()) return nullptr;
+  const std::size_t mask = table_.size() - 1;
+  for (std::size_t i = mix(key) & mask;; i = (i + 1) & mask) {
+    const Cell& cell = table_[i];
+    if (cell.stamp != stamp_) return nullptr;
+    if (cell.key == key) return &cell;
+  }
+}
+
 void SpatialGrid::rebuild(double cell_size_m,
                           const std::vector<sim::Vec2>& positions) {
   cell_size_ = cell_size_m > 0.0 ? cell_size_m : 1.0;
   positions_.assign(positions.begin(), positions.end());
-  cells_.clear();
-  cells_.reserve(positions_.size());
-  for (std::uint32_t i = 0; i < positions_.size(); ++i) {
+  const std::size_t n = positions_.size();
+  std::size_t capacity = 16;
+  while (capacity < 2 * n) capacity *= 2;
+  if (table_.size() < capacity) table_.assign(capacity, Cell{});
+  ++stamp_;  // empties every slot at once
+  // Count each cell's entries, then turn the counts into ranges and place
+  // the indices in ascending order, so every cell lists its entries sorted.
+  keys_.resize(n);
+  for (std::uint32_t i = 0; i < n; ++i) {
     const sim::Vec2& p = positions_[i];
-    cells_[cell_key(cell_coord(p.x), cell_coord(p.y))].push_back(i);
+    keys_[i] = cell_key(cell_coord(p.x), cell_coord(p.y));
+    Cell& cell = slot(keys_[i]);
+    if (cell.stamp != stamp_) cell = Cell{keys_[i], 0, 0, stamp_};
+    ++cell.end;
   }
+  std::uint32_t offset = 0;
+  for (Cell& cell : table_) {
+    if (cell.stamp != stamp_) continue;
+    const std::uint32_t count = cell.end;
+    cell.begin = offset;
+    cell.end = offset;  // advanced below as indices are placed
+    offset += count;
+  }
+  order_.resize(n);
+  for (std::uint32_t i = 0; i < n; ++i) order_[slot(keys_[i]).end++] = i;
 }
 
 SpatialGrid::QueryStats SpatialGrid::query(
@@ -33,9 +76,10 @@ SpatialGrid::QueryStats SpatialGrid::query(
   for (std::int32_t cy = cy0; cy <= cy1; ++cy) {
     for (std::int32_t cx = cx0; cx <= cx1; ++cx) {
       ++stats.cells_visited;
-      auto it = cells_.find(cell_key(cx, cy));
-      if (it == cells_.end()) continue;
-      for (std::uint32_t index : it->second) {
+      const Cell* cell = find(cell_key(cx, cy));
+      if (cell == nullptr) continue;
+      for (std::uint32_t k = cell->begin; k < cell->end; ++k) {
+        const std::uint32_t index = order_[k];
         // Exact-distance filter, with the same correctly-rounded hypot the
         // signal falloff uses (`distance >= range` ⇒ signal 0), so pruning
         // here can never disagree with the brute-force predicate.
@@ -45,7 +89,7 @@ SpatialGrid::QueryStats SpatialGrid::query(
       }
     }
   }
-  // Cell iteration order depends on the coordinate walk, not on hash
+  // Cell iteration order depends on the coordinate walk, not on table
   // layout, but candidates from different cells interleave — sort so the
   // caller evaluates (and consumes RNG) in one canonical order.
   std::sort(out.begin() + static_cast<std::ptrdiff_t>(first), out.end());

@@ -20,15 +20,17 @@
 //
 // Determinism: candidates are returned sorted by insertion index, so the
 // caller's evaluation order — and therefore its RNG consumption — is
-// independent of cell iteration order (which for an unordered_map is not
-// stable across platforms).
+// independent of cell iteration order.
 //
-// Rebuilds are O(N); the Medium rebuilds lazily, at most once per
-// (virtual timestamp, topology change) per technology.
+// Storage is flat: entry indices grouped by cell in one array (ascending
+// within each cell), and an open-addressing table from cell key to that
+// cell's range. Table slots carry a rebuild stamp, so a rebuild empties the
+// table by bumping one counter. Rebuilds are O(N) and allocate only when
+// the entry count exceeds every earlier one; the Medium rebuilds lazily, at
+// most once per (virtual timestamp, topology change) per technology.
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/world.hpp"
@@ -45,8 +47,8 @@ class SpatialGrid {
   /// Replaces the index contents. `positions[i]` is the position of the
   /// caller's i-th entry (the Medium uses per-technology adapter indices);
   /// query() reports these indices back. `cell_size_m` must be positive.
-  /// Copies into internal storage, reusing its capacity — rebuilds in a
-  /// warmed-up world allocate nothing but hash-bucket churn.
+  /// Copies into internal storage, reusing its capacity — a rebuild no
+  /// larger than an earlier one allocates nothing.
   void rebuild(double cell_size_m, const std::vector<sim::Vec2>& positions);
 
   /// Appends to `out`, sorted ascending, the indices of every entry with
@@ -66,11 +68,25 @@ class SpatialGrid {
   }
   std::int32_t cell_coord(double v) const noexcept;
 
+  /// One occupied cell: its entries are order_[begin, end). Occupied only
+  /// while `stamp` equals the grid's current stamp.
+  struct Cell {
+    std::uint64_t key = 0;
+    std::uint32_t begin = 0;
+    std::uint32_t end = 0;
+    std::uint64_t stamp = 0;
+  };
+  /// The cell for `key` under the current stamp, or the free slot where it
+  /// belongs (linear probing; the table is at most half full).
+  Cell& slot(std::uint64_t key) noexcept;
+  const Cell* find(std::uint64_t key) const noexcept;
+
   double cell_size_ = 1.0;
   std::vector<sim::Vec2> positions_;
-  /// Cell → indices into positions_, each bucket in ascending index order
-  /// (rebuild inserts in order).
-  std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> cells_;
+  std::vector<std::uint64_t> keys_;    // cell key of each entry
+  std::vector<std::uint32_t> order_;   // entry indices grouped by cell
+  std::vector<Cell> table_;            // power-of-two size
+  std::uint64_t stamp_ = 0;
 };
 
 }  // namespace ph::net

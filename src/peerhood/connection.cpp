@@ -32,7 +32,7 @@ void Connection::on_close(std::function<void(const Error&)> handler) {
 }
 
 void Connection::send(BytesView payload) {
-  if (state_) state_->send_payload(Bytes(payload.begin(), payload.end()));
+  if (state_) state_->send_payload(payload);
 }
 
 void Connection::close() {

@@ -148,7 +148,7 @@ Result<void> Daemon::restart() {
     (void)id;
     if (!neighbour.announced) continue;
     c_neighbours_disappeared_->inc();
-    notify(NeighbourEvent::Kind::disappeared, neighbour.info,
+    notify(NeighbourEvent::Kind::disappeared, std::move(neighbour.info),
            GoneCause::blackout);
   }
   PH_LOG(info, "phd") << device_name_ << ": daemon cold-restarted, "
@@ -204,7 +204,7 @@ std::vector<DeviceInfo> Daemon::devices() const {
   return out;
 }
 
-Result<DeviceInfo> Daemon::device(DeviceId id) const {
+Result<const DeviceInfo&> Daemon::device(DeviceId id) const {
   auto it = neighbours_.find(id);
   if (it == neighbours_.end() || !it->second.announced) {
     return Error{Errc::unknown_device, "device " + std::to_string(id)};
@@ -239,16 +239,17 @@ Daemon::MonitorId Daemon::monitor_device(DeviceId device,
 
 void Daemon::unmonitor(MonitorId id) { monitors_.erase(id); }
 
-void Daemon::notify(NeighbourEvent::Kind kind, const DeviceInfo& device,
+void Daemon::notify(NeighbourEvent::Kind kind, DeviceInfo device,
                     GoneCause cause) {
   NeighbourEvent event;
   event.kind = kind;
-  event.device = device;
+  event.device = std::move(device);
   event.cause = cause;
   // Iterate a copy: handlers may (un)register monitors.
   for (const auto& [mid, monitor] : std::map(monitors_)) {
     (void)mid;
-    if (monitor.device != net::kInvalidNode && monitor.device != device.id) {
+    if (monitor.device != net::kInvalidNode &&
+        monitor.device != event.device.id) {
       continue;
     }
     if (monitor.handler) monitor.handler(event);
@@ -390,7 +391,7 @@ void Daemon::on_daemon_datagram(NetworkPlugin& plugin, DeviceId src,
   // pushed around this handler), so both devices share one tree.
   const obs::SpanId handle_span = trace_->begin_span_under(
       message.trace_parent, "peerhood.daemon.handle", scheduler_.now(), self_,
-      std::string(proto::to_string(message.op)));
+      proto::to_string(message.op));
   obs::Trace::Scope handling(*trace_, handle_span);
   switch (message.op) {
     case proto::DaemonOp::service_query: {
@@ -583,14 +584,14 @@ void Daemon::declare_gone(DeviceId id, GoneCause cause) {
   auto it = neighbours_.find(id);
   if (it == neighbours_.end()) return;
   const bool was_announced = it->second.announced;
-  const DeviceInfo last_known = it->second.info;
+  DeviceInfo last_known = std::move(it->second.info);
   neighbours_.erase(it);
   pending_pings_.erase(id);
   refresh_table_gauges();
   if (!was_announced) return;
   c_neighbours_disappeared_->inc();
   PH_LOG(info, "phd") << device_name_ << ": device " << id << " disappeared";
-  notify(NeighbourEvent::Kind::disappeared, last_known, cause);
+  notify(NeighbourEvent::Kind::disappeared, std::move(last_known), cause);
 }
 
 void Daemon::announce_if_ready(Neighbour& neighbour) {
@@ -601,9 +602,8 @@ void Daemon::announce_if_ready(Neighbour& neighbour) {
   PH_LOG(info, "phd") << device_name_ << ": device '" << neighbour.info.name
                       << "' (" << neighbour.info.id << ") appeared with "
                       << neighbour.info.services.size() << " service(s)";
-  // Snapshot first: handlers may mutate the neighbour table.
-  const DeviceInfo snapshot = neighbour.info;
-  notify(NeighbourEvent::Kind::appeared, snapshot);
+  // The event owns a copy: handlers may mutate the neighbour table.
+  notify(NeighbourEvent::Kind::appeared, neighbour.info);
 }
 
 void Daemon::expire_stale_entries() {

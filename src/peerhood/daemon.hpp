@@ -142,8 +142,12 @@ class Daemon {
 
   // --- neighbourhood ------------------------------------------------------
   std::vector<DeviceInfo> devices() const;
-  Result<DeviceInfo> device(DeviceId id) const;
-  /// All (device, service) pairs advertising `service_name`.
+  /// The announced neighbour `id`, by reference into the neighbour table:
+  /// valid until the daemon next handles an event (a discovery round, a
+  /// datagram, a timeout), so callers read it and do not keep it.
+  Result<const DeviceInfo&> device(DeviceId id) const;
+  /// All (device, service) pairs advertising `service_name`, in device-id
+  /// order. Copies: callers keep them across event-loop turns.
   std::vector<std::pair<DeviceInfo, ServiceInfo>> find_service(
       std::string_view service_name) const;
 
@@ -234,8 +238,9 @@ class Daemon {
   /// every table change and once per ping round (staleness grows with
   /// virtual time even when the table is static).
   void refresh_table_gauges();
-  /// Fans one event out to every matching monitor.
-  void notify(NeighbourEvent::Kind kind, const DeviceInfo& device,
+  /// Fans one event out to every matching monitor; the event owns
+  /// `device`.
+  void notify(NeighbourEvent::Kind kind, DeviceInfo device,
               GoneCause cause = GoneCause::missed_pings);
 
   transport::Transport& transport_;

@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <array>
 
 #include "peerhood/session_state.hpp"
 #include "sim/backoff.hpp"
@@ -8,14 +9,23 @@
 
 namespace ph::peerhood::detail {
 
+namespace {
+void put_header(std::uint8_t* out, const SessionWire& wire) {
+  out[0] = static_cast<std::uint8_t>(wire.op);
+  proto::store_le(out + 1, wire.session);
+  proto::store_le(out + 9, wire.seq);
+  proto::store_le(out + 13, wire.trace);
+  proto::store_le(out + 21, static_cast<std::uint32_t>(wire.payload.size()));
+}
+}  // namespace
+
 Bytes encode(const SessionWire& wire) {
-  proto::Writer w;
-  w.u8(static_cast<std::uint8_t>(wire.op));
-  w.u64(wire.session);
-  w.u32(wire.seq);
-  w.u64(wire.trace);
-  w.bytes(wire.payload);
-  return std::move(w).take();
+  Bytes frame;
+  frame.reserve(kSessionHeaderSize + wire.payload.size());
+  frame.resize(kSessionHeaderSize);
+  put_header(frame.data(), wire);
+  frame.insert(frame.end(), wire.payload.begin(), wire.payload.end());
+  return frame;
 }
 
 Result<SessionWire> decode_session_wire(BytesView data) {
@@ -36,9 +46,9 @@ Result<SessionWire> decode_session_wire(BytesView data) {
   auto trace = r.u64();
   if (!trace) return trace.error();
   wire.trace = *trace;
-  auto payload = r.bytes();
+  auto payload = r.bytes_view();
   if (!payload) return payload.error();
-  wire.payload = std::move(*payload);
+  wire.payload = *payload;
   return wire;
 }
 
@@ -65,27 +75,42 @@ void SessionState::attach_channel(transport::Channel new_channel) {
   });
 }
 
-void SessionState::send_wire(const SessionWire& wire) {
-  if (channel.open()) channel.send(encode(wire));
+void SessionState::send_control(SessionOp op, std::uint32_t seq) {
+  if (!channel.open()) return;
+  SessionWire wire;
+  wire.op = op;
+  wire.session = id;
+  wire.seq = seq;
+  std::array<std::uint8_t, kSessionHeaderSize> frame;
+  put_header(frame.data(), wire);
+  channel.send(frame);
 }
 
 obs::Trace& SessionState::journal() { return daemon->transport().trace(); }
 
-void SessionState::send_payload(Bytes payload) {
+void SessionState::send_payload(BytesView payload) {
   if (closed) return;
-  const std::uint32_t seq = next_seq++;
-  // The innermost open span (the RPC, the task) rides the wire so the
-  // peer parents its handling under the remote sender — including when
-  // the frame is retransmitted over a different channel after handover.
-  const std::uint64_t trace_ctx = journal().current_context();
-  unacked.push_back({seq, payload, trace_ctx});
   SessionWire wire;
   wire.op = SessionOp::data;
   wire.session = id;
-  wire.seq = seq;
-  wire.trace = trace_ctx;
-  wire.payload = std::move(payload);
-  send_wire(wire);  // dropped when channel is down; resume retransmits
+  wire.seq = next_seq++;
+  // The innermost open span (the RPC, the task) rides the wire so the
+  // peer parents its handling under the remote sender — including when
+  // the frame is retransmitted over a different channel after handover.
+  wire.trace = journal().current_context();
+  wire.payload = payload;
+  unacked.push_back({wire.seq, encode(wire)});
+  // Dropped when the channel is down; resume retransmits.
+  if (channel.open()) channel.send(unacked.back().frame);
+}
+
+void SessionState::deliver(BytesView payload, std::uint64_t trace) {
+  if (!on_message) return;
+  // Deliver under the remote sender's span from the wire (a reordered
+  // frame would otherwise inherit the wrong flight span from the channel's
+  // receive path).
+  obs::Trace::Scope causal(journal(), trace);
+  on_message(payload);
 }
 
 void SessionState::handle_wire(const SessionWire& wire) {
@@ -98,11 +123,7 @@ void SessionState::handle_wire(const SessionWire& wire) {
       // acknowledge with our delivery point and retransmit what the client
       // lacks.
       if (!initiator) {
-        SessionWire ack;
-        ack.op = SessionOp::resume_ack;
-        ack.session = id;
-        ack.seq = last_delivered;
-        send_wire(ack);
+        send_control(SessionOp::resume_ack, last_delivered);
         retransmit_from(wire.seq);
       }
       break;
@@ -117,7 +138,7 @@ void SessionState::handle_wire(const SessionWire& wire) {
         resume_span = 0;
         journal().add_event("peerhood.session.handover", scheduler().now(),
                             self,
-                            std::string(net::to_string(channel.technology())));
+                            net::to_string(channel.technology()));
         retransmit_from(wire.seq);
         arm_monitor();
         PH_LOG(info, "conn") << "session " << id << " resumed over "
@@ -125,41 +146,36 @@ void SessionState::handle_wire(const SessionWire& wire) {
       }
       break;
     case SessionOp::data: {
-      // Acknowledge cumulatively, deliver in order exactly once.
-      if (wire.seq > last_delivered) {
-        reorder.emplace(wire.seq, Arrival{wire.payload, wire.trace});
+      // Acknowledge cumulatively, deliver in order exactly once. The next
+      // expected frame goes to the handler straight from the received
+      // buffer; only frames that arrive early are copied and held back.
+      if (wire.seq == last_delivered + 1) {
+        ++last_delivered;
+        deliver(wire.payload, wire.trace);
+        if (closed) return;  // handler closed the session
         while (!reorder.empty() &&
                reorder.begin()->first == last_delivered + 1) {
           Arrival arrival = std::move(reorder.begin()->second);
-          Bytes payload = std::move(arrival.payload);
           reorder.erase(reorder.begin());
           ++last_delivered;
-          if (on_message) {
-            // Invoke through a copy: the handler may close the session,
-            // which clears on_message — the copy keeps the executing
-            // lambda (and anything it captured) alive.
-            auto handler = on_message;
-            // Deliver under the remote sender's span from the wire (a
-            // reordered frame would otherwise inherit the wrong flight
-            // span from the channel's receive path).
-            obs::Trace::Scope causal(journal(), arrival.trace);
-            handler(payload);
-          }
-          if (closed) return;  // handler closed the session
+          deliver(arrival.payload, arrival.trace);
+          if (closed) return;
         }
+      } else if (wire.seq > last_delivered) {
+        reorder.try_emplace(wire.seq, Arrival{Bytes(wire.payload.begin(),
+                                                    wire.payload.end()),
+                                              wire.trace});
       }
-      SessionWire ack;
-      ack.op = SessionOp::ack;
-      ack.session = id;
-      ack.seq = last_delivered;
-      send_wire(ack);
+      send_control(SessionOp::ack, last_delivered);
       break;
     }
-    case SessionOp::ack:
-      while (!unacked.empty() && unacked.front().seq <= wire.seq) {
-        unacked.pop_front();
-      }
+    case SessionOp::ack: {
+      auto acked = std::find_if(
+          unacked.begin(), unacked.end(),
+          [&wire](const Outstanding& entry) { return entry.seq > wire.seq; });
+      unacked.erase(unacked.begin(), acked);
       break;
+    }
     case SessionOp::close:
       finish(Error{Errc::ok});
       break;
@@ -167,26 +183,19 @@ void SessionState::handle_wire(const SessionWire& wire) {
 }
 
 void SessionState::retransmit_from(std::uint32_t peer_last_delivered) {
-  while (!unacked.empty() && unacked.front().seq <= peer_last_delivered) {
-    unacked.pop_front();
-  }
+  auto delivered = std::find_if(
+      unacked.begin(), unacked.end(), [&](const Outstanding& entry) {
+        return entry.seq > peer_last_delivered;
+      });
+  unacked.erase(unacked.begin(), delivered);
   for (const auto& entry : unacked) {
-    SessionWire wire;
-    wire.op = SessionOp::data;
-    wire.session = id;
-    wire.seq = entry.seq;
-    wire.trace = entry.trace;
-    wire.payload = entry.payload;
-    send_wire(wire);
+    if (channel.open()) channel.send(entry.frame);
   }
 }
 
 void SessionState::graceful_close() {
   if (closed) return;
-  SessionWire wire;
-  wire.op = SessionOp::close;
-  wire.session = id;
-  send_wire(wire);
+  send_control(SessionOp::close);
   closed = true;
   journal().end_span(resume_span, scheduler().now());
   resume_span = 0;
@@ -215,7 +224,10 @@ void SessionState::finish(const Error& reason) {
   if (channel.valid() && channel.open()) channel.close();
   if (on_ended) on_ended(id);
   if (on_close) {
-    auto handler = on_close;  // survive handler resetting the Connection
+    // Moved out first: the handler may reset the Connection, and the slot
+    // is cleared below anyway.
+    auto handler = std::move(on_close);
+    on_close = nullptr;
     handler(reason);
   }
   on_message = nullptr;
@@ -344,12 +356,8 @@ void SessionState::resume_sweep() {
           return;
         }
         self->attach_channel(*result);
-        SessionWire resume;
-        resume.op = SessionOp::resume;
-        resume.session = self->id;
-        resume.seq = self->last_delivered;
         obs::Trace::Scope causal(self->journal(), self->resume_span);
-        self->send_wire(resume);
+        self->send_control(SessionOp::resume, self->last_delivered);
         // established flips when resume_ack arrives.
       });
 }

@@ -3,10 +3,10 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
+#include <vector>
 
 #include "obs/trace.hpp"
 #include "peerhood/connection.hpp"
@@ -14,6 +14,7 @@
 #include "peerhood/types.hpp"
 #include "transport/transport.hpp"
 #include "util/bytes.hpp"
+#include "util/callback_slot.hpp"
 
 namespace ph::peerhood::detail {
 
@@ -27,6 +28,13 @@ enum class SessionOp : std::uint8_t {
   close = 6,       ///< graceful end
 };
 
+/// Session frame layout: op u8, session u64, seq u32, trace u64, then the
+/// payload as a u32-length-prefixed byte string.
+inline constexpr std::size_t kSessionHeaderSize = 25;
+
+/// One session frame. `payload` is a view: when encoding, of the caller's
+/// bytes; when decoded, of the received buffer, valid only while the
+/// channel's receive handler runs.
 struct SessionWire {
   SessionOp op = SessionOp::data;
   std::uint64_t session = 0;
@@ -34,9 +42,10 @@ struct SessionWire {
   /// Trace context captured when the payload was first sent; retransmits
   /// carry the original so delivery keeps its causal tie after handover.
   std::uint64_t trace = 0;
-  Bytes payload;
+  BytesView payload;
 };
 
+/// The whole frame, header plus payload, in one allocation.
 Bytes encode(const SessionWire& wire);
 Result<SessionWire> decode_session_wire(BytesView data);
 
@@ -61,19 +70,25 @@ struct SessionState : std::enable_shared_from_this<SessionState> {
   // Reliability.
   std::uint32_t next_seq = 1;       // next outgoing sequence number
   std::uint32_t last_delivered = 0; // highest in-order seq handed to the app
+  /// A sent data frame kept, exactly as sent, until the peer acknowledges
+  /// it; a retransmit resends the same bytes (its header carries the
+  /// sender context of the first transmission).
   struct Outstanding {
     std::uint32_t seq = 0;
-    Bytes payload;
-    std::uint64_t trace = 0;  ///< sender context at first transmission
+    Bytes frame;
   };
-  std::deque<Outstanding> unacked;
+  std::vector<Outstanding> unacked;  // ascending seq
   struct Arrival {
     Bytes payload;
     std::uint64_t trace = 0;  ///< remote sender's span, from the wire
   };
-  std::map<std::uint32_t, Arrival> reorder;  // out-of-order arrivals
+  /// Out-of-order arrivals only: an in-order frame is delivered straight
+  /// from the received buffer.
+  std::map<std::uint32_t, Arrival> reorder;
 
-  std::function<void(BytesView)> on_message;
+  /// Called in place (see util::CallbackSlot): the handler may close the
+  /// session, which clears it, while it runs.
+  util::CallbackSlot<void(BytesView)> on_message;
   std::function<void(const Error&)> on_close;
   /// Server-side hook: endpoint bookkeeping removes the session on end.
   std::function<void(std::uint64_t)> on_ended;
@@ -91,8 +106,12 @@ struct SessionState : std::enable_shared_from_this<SessionState> {
   /// Installs receive/break handlers on `new_channel` and makes it current.
   void attach_channel(transport::Channel new_channel);
   void handle_wire(const SessionWire& wire);
-  void send_payload(Bytes payload);
-  void send_wire(const SessionWire& wire);
+  void send_payload(BytesView payload);
+  /// Sends a payload-less control frame (hello, resume, acks, close),
+  /// encoded on the stack.
+  void send_control(SessionOp op, std::uint32_t seq = 0);
+  /// Hands one in-order payload to on_message under the sender's span.
+  void deliver(BytesView payload, std::uint64_t trace);
   void graceful_close();
   void fail(Error error);
   void finish(const Error& reason);

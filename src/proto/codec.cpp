@@ -2,38 +2,6 @@
 
 namespace ph::proto {
 
-void Writer::u16(std::uint16_t v) {
-  buf_.push_back(static_cast<std::uint8_t>(v));
-  buf_.push_back(static_cast<std::uint8_t>(v >> 8));
-}
-
-void Writer::u32(std::uint32_t v) {
-  for (int shift = 0; shift < 32; shift += 8) {
-    buf_.push_back(static_cast<std::uint8_t>(v >> shift));
-  }
-}
-
-void Writer::u64(std::uint64_t v) {
-  for (int shift = 0; shift < 64; shift += 8) {
-    buf_.push_back(static_cast<std::uint8_t>(v >> shift));
-  }
-}
-
-void Writer::str(std::string_view v) {
-  u32(static_cast<std::uint32_t>(v.size()));
-  buf_.insert(buf_.end(), v.begin(), v.end());
-}
-
-void Writer::bytes(BytesView v) {
-  u32(static_cast<std::uint32_t>(v.size()));
-  buf_.insert(buf_.end(), v.begin(), v.end());
-}
-
-void Writer::str_list(const std::vector<std::string>& v) {
-  u32(static_cast<std::uint32_t>(v.size()));
-  for (const auto& s : v) str(s);
-}
-
 Result<void> Reader::need(std::size_t n) {
   if (remaining() < n) {
     return Error{Errc::protocol_error, "truncated message"};
@@ -84,11 +52,16 @@ Result<std::string> Reader::str() {
 }
 
 Result<Bytes> Reader::bytes() {
+  auto view = bytes_view();
+  if (!view) return view.error();
+  return Bytes(view->begin(), view->end());
+}
+
+Result<BytesView> Reader::bytes_view() {
   auto len = u32();
   if (!len) return len.error();
   if (auto r = need(*len); !r) return r.error();
-  Bytes out(data_.begin() + static_cast<std::ptrdiff_t>(pos_),
-            data_.begin() + static_cast<std::ptrdiff_t>(pos_ + *len));
+  const BytesView out = data_.subspan(pos_, *len);
   pos_ += *len;
   return out;
 }

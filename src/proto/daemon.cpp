@@ -15,22 +15,22 @@ std::string_view to_string(DaemonOp op) noexcept {
 }
 
 Bytes encode(const DaemonMessage& message) {
-  Writer w;
-  w.u8(static_cast<std::uint8_t>(message.op));
-  w.u32(message.token);
-  w.u64(message.trace_parent);
-  w.str(message.device_name);
-  w.u32(static_cast<std::uint32_t>(message.services.size()));
-  for (const auto& service : message.services) {
-    w.str(service.name);
-    w.u16(service.port);
-    w.u32(static_cast<std::uint32_t>(service.attributes.size()));
-    for (const auto& [key, value] : service.attributes) {
-      w.str(key);
-      w.str(value);
+  return encode_exact([&message](auto& w) {
+    w.u8(static_cast<std::uint8_t>(message.op));
+    w.u32(message.token);
+    w.u64(message.trace_parent);
+    w.str(message.device_name);
+    w.u32(static_cast<std::uint32_t>(message.services.size()));
+    for (const auto& service : message.services) {
+      w.str(service.name);
+      w.u16(service.port);
+      w.u32(static_cast<std::uint32_t>(service.attributes.size()));
+      for (const auto& [key, value] : service.attributes) {
+        w.str(key);
+        w.str(value);
+      }
     }
-  }
-  return std::move(w).take();
+  });
 }
 
 Result<DaemonMessage> decode_daemon_message(BytesView data) {

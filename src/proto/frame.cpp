@@ -20,12 +20,17 @@ std::string_view to_string(FrameKind kind) noexcept {
 Bytes encode_frame(FrameKind kind, BytesView payload) {
   Bytes out;
   out.reserve(kFrameHeaderSize + payload.size());
-  out.push_back(static_cast<std::uint8_t>(kFrameMagic & 0xFF));
-  out.push_back(static_cast<std::uint8_t>(kFrameMagic >> 8));
-  out.push_back(kFrameVersion);
-  out.push_back(static_cast<std::uint8_t>(kind));
-  out.insert(out.end(), payload.begin(), payload.end());
+  append_frame(out, kind, payload);
   return out;
+}
+
+void append_frame(Bytes& out, FrameKind kind, BytesView payload) {
+  const std::uint8_t header[kFrameHeaderSize] = {
+      static_cast<std::uint8_t>(kFrameMagic & 0xFF),
+      static_cast<std::uint8_t>(kFrameMagic >> 8), kFrameVersion,
+      static_cast<std::uint8_t>(kind)};
+  out.insert(out.end(), header, header + kFrameHeaderSize);
+  out.insert(out.end(), payload.begin(), payload.end());
 }
 
 Result<FrameView> decode_frame(BytesView data) {

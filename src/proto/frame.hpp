@@ -55,6 +55,9 @@ struct FrameView {
 /// Prepends the versioned header to `payload`.
 Bytes encode_frame(FrameKind kind, BytesView payload);
 
+/// Appends the same frame to `out`, in place.
+void append_frame(Bytes& out, FrameKind kind, BytesView payload);
+
 /// Validates magic/version/kind and returns the payload view.
 Result<FrameView> decode_frame(BytesView data);
 

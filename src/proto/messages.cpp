@@ -33,7 +33,8 @@ std::string_view to_string(Status status) noexcept {
 
 namespace {
 
-void put(Writer& w, const CommentData& c) {
+template <typename W>
+void put(W& w, const CommentData& c) {
   w.str(c.author);
   w.str(c.text);
   w.u64(c.at_us);
@@ -53,7 +54,8 @@ Result<CommentData> get_comment(Reader& r) {
   return c;
 }
 
-void put(Writer& w, const ProfileData& p) {
+template <typename W>
+void put(W& w, const ProfileData& p) {
   w.str(p.member_id);
   w.str(p.display_name);
   w.u32(p.age);
@@ -101,7 +103,8 @@ Result<ProfileData> get_profile(Reader& r) {
   return p;
 }
 
-void put(Writer& w, const MailData& m) {
+template <typename W>
+void put(W& w, const MailData& m) {
   w.str(m.receiver);
   w.str(m.sender);
   w.str(m.subject);
@@ -141,16 +144,16 @@ Result<Opcode> get_opcode(Reader& r) {
 }  // namespace
 
 Bytes encode(const Request& request) {
-  Writer w;
-  w.u8(static_cast<std::uint8_t>(request.op));
-  w.u64(request.trace_parent);
-  w.str(request.requester);
-  w.str(request.member_id);
-  w.str(request.argument);
-  put(w, request.mail);
-  w.u64(request.offset);
-  w.u64(request.length);
-  return std::move(w).take();
+  return encode_exact([&request](auto& w) {
+    w.u8(static_cast<std::uint8_t>(request.op));
+    w.u64(request.trace_parent);
+    w.str(request.requester);
+    w.str(request.member_id);
+    w.str(request.argument);
+    put(w, request.mail);
+    w.u64(request.offset);
+    w.u64(request.length);
+  });
 }
 
 Result<Request> decode_request(BytesView data) {
@@ -184,19 +187,19 @@ Result<Request> decode_request(BytesView data) {
 }
 
 Bytes encode(const Response& response) {
-  Writer w;
-  w.u8(static_cast<std::uint8_t>(response.op));
-  w.u8(static_cast<std::uint8_t>(response.status));
-  w.str_list(response.names);
-  put(w, response.profile);
-  w.u32(static_cast<std::uint32_t>(response.items.size()));
-  for (const auto& item : response.items) {
-    w.str(item.name);
-    w.u64(item.size_bytes);
-  }
-  w.bytes(response.content);
-  w.u64(response.content_total);
-  return std::move(w).take();
+  return encode_exact([&response](auto& w) {
+    w.u8(static_cast<std::uint8_t>(response.op));
+    w.u8(static_cast<std::uint8_t>(response.status));
+    w.str_list(response.names);
+    put(w, response.profile);
+    w.u32(static_cast<std::uint32_t>(response.items.size()));
+    for (const auto& item : response.items) {
+      w.str(item.name);
+      w.u64(item.size_bytes);
+    }
+    w.bytes(response.content);
+    w.u64(response.content_total);
+  });
 }
 
 Result<Response> decode_response(BytesView data) {

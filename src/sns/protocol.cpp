@@ -21,13 +21,13 @@ std::string_view to_string(PageKind kind) noexcept {
 }
 
 Bytes encode(const PageRequest& request) {
-  proto::Writer w;
-  w.u8(static_cast<std::uint8_t>(request.kind));
-  w.str(request.query);
-  w.str(request.member);
-  w.str(request.text);
-  w.u32(request.weight_permille);
-  return std::move(w).take();
+  return proto::encode_exact([&request](auto& w) {
+    w.u8(static_cast<std::uint8_t>(request.kind));
+    w.str(request.query);
+    w.str(request.member);
+    w.str(request.text);
+    w.u32(request.weight_permille);
+  });
 }
 
 Result<PageRequest> decode_page_request(BytesView data) {
@@ -55,12 +55,12 @@ Result<PageRequest> decode_page_request(BytesView data) {
 }
 
 Bytes encode(const PageResponse& response) {
-  proto::Writer w;
-  w.u8(static_cast<std::uint8_t>(response.kind));
-  w.u8(static_cast<std::uint8_t>(response.status));
-  w.str_list(response.names);
-  w.bytes(response.body);
-  return std::move(w).take();
+  return proto::encode_exact([&response](auto& w) {
+    w.u8(static_cast<std::uint8_t>(response.kind));
+    w.u8(static_cast<std::uint8_t>(response.status));
+    w.str_list(response.names);
+    w.bytes(response.body);
+  });
 }
 
 Result<PageResponse> decode_page_response(BytesView data) {

@@ -21,6 +21,7 @@
 #include "obs/sampler.hpp"
 #include "obs/slo.hpp"
 #include "proto/frame.hpp"
+#include "util/callback_slot.hpp"
 #include "util/check.hpp"
 #include "util/error.hpp"
 #include "util/log.hpp"
@@ -67,13 +68,25 @@ std::uint64_t read_u64(BytesView data) {
   return v;
 }
 
-/// One length-prefixed stream message: u32 frame length, then the frame.
+/// Bytes one length-prefixed stream message of `payload` occupies.
+std::size_t stream_message_size(BytesView payload) {
+  return 4 + proto::kFrameHeaderSize + payload.size();
+}
+
+/// Appends one length-prefixed stream message to `out`: u32 frame length,
+/// then the frame, written in place.
+void append_stream_message(Bytes& out, proto::FrameKind kind,
+                           BytesView payload) {
+  append_u32(out, static_cast<std::uint32_t>(proto::kFrameHeaderSize +
+                                             payload.size()));
+  proto::append_frame(out, kind, payload);
+}
+
+/// One stream message in a buffer of its own (handshake frames).
 Bytes make_stream_message(proto::FrameKind kind, BytesView payload) {
-  const Bytes frame = proto::encode_frame(kind, payload);
   Bytes out;
-  out.reserve(4 + frame.size());
-  append_u32(out, static_cast<std::uint32_t>(frame.size()));
-  out.insert(out.end(), frame.begin(), frame.end());
+  out.reserve(stream_message_size(payload));
+  append_stream_message(out, kind, payload);
   return out;
 }
 
@@ -294,7 +307,7 @@ class SocketChannelState final
   Bytes in_buf_;
   Bytes out_buf_;
   std::size_t out_pos_ = 0;
-  std::function<void(BytesView)> on_receive_;
+  util::CallbackSlot<void(BytesView)> on_receive_;
   std::function<void()> on_break_;
 };
 
@@ -303,8 +316,17 @@ void SocketChannelState::chan_send(BytesView payload) {
   // EOF the peer is gone and a write would EPIPE-break the channel before
   // its buffered tail frames were delivered.
   if (!open_ || peer_gone_) return;
-  const Bytes msg = make_stream_message(proto::FrameKind::channel_data, payload);
-  out_buf_.insert(out_buf_.end(), msg.begin(), msg.end());
+  const std::size_t queued = out_buf_.size() - out_pos_;
+  if (queued + stream_message_size(payload) > kMaxSendQueue) {
+    // The peer has stopped reading: buffering on would grow without bound.
+    transport_.note_send_queue_overflow();
+    PH_LOG(warn, "socket") << "channel to device " << remote_
+                           << ": peer is not reading, " << queued
+                           << " bytes already queued; breaking";
+    do_break();
+    return;
+  }
+  append_stream_message(out_buf_, proto::FrameKind::channel_data, payload);
   transport_.note_channel_send(payload.size());
   flush();
 }
@@ -313,8 +335,7 @@ void SocketChannelState::send_ping(std::uint64_t wall_us) {
   if (!open_ || peer_gone_) return;
   Bytes stamp;
   append_u64(stamp, wall_us);
-  const Bytes msg = make_stream_message(proto::FrameKind::channel_ping, stamp);
-  out_buf_.insert(out_buf_.end(), msg.begin(), msg.end());
+  append_stream_message(out_buf_, proto::FrameKind::channel_ping, stamp);
   transport_.note_rtt_probe();
   flush();
 }
@@ -333,6 +354,14 @@ void SocketChannelState::flush() {
     }
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
       transport_.note_backpressure();
+      // Drop the written prefix once it dominates, so a peer that reads
+      // slowly cannot pin already-sent bytes in memory.
+      if (out_pos_ >= out_buf_.size() / 2) {
+        out_buf_.erase(out_buf_.begin(),
+                       out_buf_.begin() +
+                           static_cast<std::ptrdiff_t>(out_pos_));
+        out_pos_ = 0;
+      }
       if (!want_write_) {
         want_write_ = true;
         transport_.rearm_fd(fd_, EPOLLIN | EPOLLOUT);
@@ -421,9 +450,8 @@ void SocketChannelState::deliver_frames() {
     if (frame && frame->kind == proto::FrameKind::channel_ping) {
       pos += 4 + len;
       if (frame->payload.size() >= 8 && !peer_gone_) {
-        const Bytes pong = make_stream_message(proto::FrameKind::channel_pong,
-                                               frame->payload.subspan(0, 8));
-        out_buf_.insert(out_buf_.end(), pong.begin(), pong.end());
+        append_stream_message(out_buf_, proto::FrameKind::channel_pong,
+                              frame->payload.subspan(0, 8));
         flush();
       }
       continue;
@@ -448,11 +476,9 @@ void SocketChannelState::deliver_frames() {
       continue;
     }
     transport_.note_channel_receive(frame->payload.size());
-    // Invoke a copy: the handler may replace on_receive_ from inside the
-    // call (session handshake → attach_channel), which would otherwise
-    // destroy the lambda mid-execution.
-    auto handler = on_receive_;
-    handler(frame->payload);
+    // Called in place: the slot keeps the running handler alive when it
+    // replaces itself (session handshake → attach_channel).
+    on_receive_(frame->payload);
   }
   if (pos > 0) in_buf_.erase(in_buf_.begin(), in_buf_.begin() + pos);
   if (open_ && peer_gone_ && !stalled) {
@@ -1025,6 +1051,8 @@ SocketTransport::SocketTransport(SocketTransportConfig config)
   g_wait_stall_ = &registry_.gauge("transport.socket.loop.wait_stall_us");
   c_partial_writes_ = &registry_.counter("transport.socket.partial_writes");
   c_backpressure_ = &registry_.counter("transport.socket.backpressure");
+  c_send_queue_overflows_ =
+      &registry_.counter("transport.socket.send_queue_overflows");
   c_rtt_probes_ = &registry_.counter("transport.socket.rtt_probes");
 
   // This backend's journal stamps are wall-derived (virtual µs = wall µs ×
@@ -1162,6 +1190,10 @@ void SocketTransport::note_channel_break() {
 void SocketTransport::note_bad_frame() { metrics_.bad_frames->inc(); }
 
 void SocketTransport::note_partial_write() { c_partial_writes_->inc(); }
+
+void SocketTransport::note_send_queue_overflow() {
+  c_send_queue_overflows_->inc();
+}
 
 void SocketTransport::note_backpressure() { c_backpressure_->inc(); }
 

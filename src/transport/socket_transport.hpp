@@ -48,6 +48,13 @@ namespace ph::transport {
 /// prefix counts a bad frame and breaks.
 inline constexpr std::uint32_t kMaxStreamFrame = 16u << 20;
 
+/// Upper bound on the bytes one channel holds queued for a peer that is
+/// not reading: room for two maximal messages. A send that would queue
+/// more breaks the channel (counted in transport.socket.send_queue_overflows)
+/// instead of buffering without limit.
+inline constexpr std::size_t kMaxSendQueue =
+    2 * (4 + std::size_t{kMaxStreamFrame});
+
 struct SocketTransportConfig {
   /// Rendezvous directory holding every endpoint's sockets. Empty = create
   /// (and on destruction remove) a fresh mkdtemp directory; set it
@@ -138,6 +145,7 @@ class SocketTransport final : public Transport {
   void note_channel_break();
   void note_bad_frame();
   void note_partial_write();
+  void note_send_queue_overflow();
   void note_backpressure();
   void note_rtt_probe();
   void note_rtt_sample(std::uint64_t rtt_wall_us);
@@ -194,6 +202,7 @@ class SocketTransport final : public Transport {
   obs::Gauge* g_wait_stall_ = nullptr;         ///< epoll_wait overshoot, µs
   obs::Counter* c_partial_writes_ = nullptr;
   obs::Counter* c_backpressure_ = nullptr;
+  obs::Counter* c_send_queue_overflows_ = nullptr;  ///< see kMaxSendQueue
   obs::Counter* c_rtt_probes_ = nullptr;
   /// Per-device `transport.socket.d<id>.{send,recv}_queue_bytes` handles,
   /// registered at the device's first telemetry scrape.

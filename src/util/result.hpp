@@ -3,7 +3,7 @@
 // C++20 has no std::expected, so the stack carries recoverable failures in
 // this small, allocation-free (beyond T/Error themselves) sum type.
 //
-//   Result<DeviceInfo> r = daemon.device(id);
+//   Result<Request> r = decode_request(bytes);
 //   if (!r) return r.error();
 //   use(r.value());
 //
@@ -55,6 +55,35 @@ class [[nodiscard]] Result {
 
  private:
   std::variant<T, Error> state_;
+};
+
+/// Result<T&>: a reference to a value owned elsewhere, or an error — for
+/// lookups that must not copy what they find. The reference is valid as
+/// long as its owner keeps the value.
+template <typename T>
+class [[nodiscard]] Result<T&> {
+ public:
+  Result(T& value) : value_(&value) {}
+  Result(T&&) = delete;  // would dangle
+  Result(Error error) : error_(std::move(error)) {}
+  Result(Errc code) : error_(Error{code}) {}
+
+  bool ok() const noexcept { return value_ != nullptr; }
+  explicit operator bool() const noexcept { return ok(); }
+
+  T& value() const {
+    if (value_ == nullptr) throw std::bad_variant_access();
+    return *value_;
+  }
+  const Error& error() const& { return error_; }
+  Error&& error() && { return std::move(error_); }
+
+  T& operator*() const { return value(); }
+  T* operator->() const { return &value(); }
+
+ private:
+  T* value_ = nullptr;
+  Error error_{};
 };
 
 /// Result<void>: success carries nothing.

@@ -7,6 +7,8 @@
 // cut off by EOF, an oversized length prefix, a bad envelope and a
 // half-close. The endpoint must reassemble in order, break where the
 // stream is unusable, and count every bad frame in transport.bad_frames.
+// A raw peer that never reads must not grow the endpoint's send queue
+// without bound, nor stall the endpoint's other channels.
 #include <gtest/gtest.h>
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -50,40 +52,58 @@ class SocketFrameTest : public ::testing::Test {
  protected:
   void SetUp() override {
     const DeviceId host = transport_.add_device("host", nullptr);
+    host_ = host;
     transport_.add_endpoint(host, net::bluetooth_2_0())
         .listen(kPort, [this](Channel channel) {
+          accepted_.push_back(channel);
+          if (accepted_.size() > 1) return;  // later peers: the test's own
           server_ = channel;
           server_.on_receive(
               [this](BytesView payload) { got_.push_back(to_text(payload)); });
           server_.on_break([this] { broke_ = true; });
         });
-
-    fd_ = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
+    fd_ = connect_raw();
     ASSERT_GE(fd_, 0);
+    EXPECT_EQ(server_.remote_node(), kRawDevice);
+  }
+
+  /// Connects a raw AF_UNIX peer and completes the stream handshake; the
+  /// endpoint's side of it is accepted_.back(). Returns the peer's fd, or
+  /// -1 on failure (with a test failure recorded).
+  int connect_raw() {
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
+    EXPECT_GE(fd, 0);
+    if (fd < 0) return -1;
     const std::string path = transport_.socket_dir() + "/d" +
-                             std::to_string(host) + ".t0.stream";
+                             std::to_string(host_) + ".t0.stream";
     sockaddr_un addr{};
     addr.sun_family = AF_UNIX;
     std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
-    ASSERT_EQ(::connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+    EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
               0);
     Bytes open_body;
     append_u32(open_body, kRawDevice);
     open_body.push_back(static_cast<std::uint8_t>(kPort & 0xFF));
     open_body.push_back(static_cast<std::uint8_t>(kPort >> 8));
-    write_raw(stream_message(proto::FrameKind::channel_open, open_body));
-    ASSERT_TRUE(pump_until([this] { return server_.valid(); }));
-    EXPECT_EQ(server_.remote_node(), kRawDevice);
+    const Bytes open =
+        stream_message(proto::FrameKind::channel_open, open_body);
+    EXPECT_EQ(::send(fd, open.data(), open.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(open.size()));
+    const std::size_t before = accepted_.size();
+    EXPECT_TRUE(pump_until([&] { return accepted_.size() > before; }));
 
     // The accept reply is already queued on the raw side.
     const Bytes accept =
         stream_message(proto::FrameKind::channel_accept, Bytes(4, 0));
     Bytes reply(accept.size());
-    ASSERT_EQ(::recv(fd_, reply.data(), reply.size(), MSG_WAITALL),
+    EXPECT_EQ(::recv(fd, reply.data(), reply.size(), MSG_WAITALL),
               static_cast<ssize_t>(reply.size()));
     auto frame = proto::decode_frame(BytesView(reply).subspan(4));
-    ASSERT_TRUE(bool(frame));
-    EXPECT_EQ(frame->kind, proto::FrameKind::channel_accept);
+    EXPECT_TRUE(bool(frame));
+    if (frame) {
+      EXPECT_EQ(frame->kind, proto::FrameKind::channel_accept);
+    }
+    return fd;
   }
 
   void TearDown() override {
@@ -117,7 +137,9 @@ class SocketFrameTest : public ::testing::Test {
   }
 
   SocketTransport transport_;
+  DeviceId host_ = 0;
   int fd_ = -1;
+  std::vector<Channel> accepted_;
   Channel server_;
   std::vector<std::string> got_;
   bool broke_ = false;
@@ -209,6 +231,59 @@ TEST_F(SocketFrameTest, HalfCloseDeliversEverySentFrameThenBreaks) {
   transport_.scheduler().run_for(sim::milliseconds(20));
   std::uint8_t buf[64];
   EXPECT_EQ(::recv(fd_, buf, sizeof(buf), 0), 0);
+}
+
+TEST_F(SocketFrameTest, SlowReaderIsBoundedAndOtherChannelsKeepFlowing) {
+  // fd_ never reads. A second raw peer on the same endpoint reads and
+  // writes normally.
+  const int other_fd = connect_raw();
+  ASSERT_GE(other_fd, 0);
+  Channel slow = server_;
+  Channel other = accepted_.back();
+  std::vector<std::string> other_got;
+  other.on_receive(
+      [&](BytesView payload) { other_got.push_back(to_text(payload)); });
+
+  const auto counter = [this](const char* name) {
+    return transport_.registry().counter(name).value();
+  };
+  const Bytes frame(64 * 1024, 0xAB);
+  // Twice the queue bound: a sender without one would buffer all of it.
+  const std::size_t max_sends = 2 * kMaxSendQueue / frame.size();
+  std::size_t sent = 0;
+  while (slow.open() && sent < max_sends) {
+    slow.send(frame);
+    ++sent;
+    transport_.scheduler().run_for(sim::microseconds(200));
+  }
+  EXPECT_FALSE(slow.open()) << "queued " << sent << " frames of 64 KiB";
+  EXPECT_TRUE(broke_);
+  // The break came as soon as the queue would pass its bound (the kernel's
+  // socket buffer holds what was written before that).
+  EXPECT_LE(sent * frame.size(), kMaxSendQueue + 8 * frame.size());
+  EXPECT_GT(counter("transport.socket.backpressure"), 0u);
+  EXPECT_GT(counter("transport.socket.partial_writes"), 0u);
+  EXPECT_EQ(counter("transport.socket.send_queue_overflows"), 1u);
+
+  // The loop still serves the other channel, both ways.
+  const Bytes hello = data_message("still here");
+  ASSERT_EQ(::send(other_fd, hello.data(), hello.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(hello.size()));
+  ASSERT_TRUE(pump_until([&] { return !other_got.empty(); }));
+  EXPECT_EQ(other_got, std::vector<std::string>{"still here"});
+  EXPECT_TRUE(other.open());
+  other.send(to_bytes("reply"));
+  const Bytes expected = data_message("reply");
+  Bytes reply(expected.size());
+  ASSERT_TRUE(pump_until([&] {
+    return ::recv(other_fd, reply.data(), reply.size(),
+                  MSG_PEEK | MSG_DONTWAIT) ==
+           static_cast<ssize_t>(reply.size());
+  }));
+  ASSERT_EQ(::recv(other_fd, reply.data(), reply.size(), MSG_WAITALL),
+            static_cast<ssize_t>(reply.size()));
+  EXPECT_EQ(reply, expected);
+  ::close(other_fd);
 }
 
 }  // namespace
