@@ -79,19 +79,12 @@ int main() {
   if (const char* env = std::getenv("PH_SAMPLE_MS"); env != nullptr) {
     sample_ms = std::atoi(env);  // 0 (or negative) disables sampling
   }
-  // PH_PROF: 0 = profiling off, 1 (default) = Mode 1 deterministic event
-  // attribution (prof.<center>.events counters — inside the byte-identity
-  // gate), 2 = Mode 1 + wall-cost histograms + slow-event watchdog +
-  // Mode 2 sampling profiler. PH_PROF_WALL=1 arms the wall plane without
-  // the sampler; PH_PROF_BUDGET_US tunes the watchdog (default 50 ms).
-  int prof_mode = 1;
-  if (const char* env = std::getenv("PH_PROF"); env != nullptr) {
-    prof_mode = std::atoi(env);
-  }
-  bool prof_wall = prof_mode >= 2;
-  if (const char* env = std::getenv("PH_PROF_WALL"); env != nullptr) {
-    if (std::atoi(env) > 0) prof_wall = true;
-  }
+  // PH_PROF (obs::prof::mode_from_env): 1 (default) keeps the Mode 1
+  // prof.<center>.events counters inside the byte-identity gate; 2 adds
+  // the wall plane (wall-cost histograms, 50 ms slow-event watchdog) and
+  // the Mode 2 sampling profiler.
+  const int prof_mode = ph::obs::prof::mode_from_env();
+  const bool prof_wall = prof_mode >= 2;
 
   ph::sim::Simulator simulator;
   ph::net::Medium medium(simulator, ph::sim::Rng(seed));
@@ -115,10 +108,6 @@ int main() {
     simulator.set_profiler(&prof);
     if (prof_wall) {
       prof.enable_wall();
-      if (const char* env = std::getenv("PH_PROF_BUDGET_US");
-          env != nullptr && std::atoll(env) > 0) {
-        prof.set_slow_budget_us(static_cast<std::uint64_t>(std::atoll(env)));
-      }
       // The watchdog runs inline on the (single) dispatching thread:
       // journal the straggler and arm the flight recorder so the spans
       // around it survive to $PH_FLIGHT_JSON.

@@ -301,7 +301,7 @@ struct ParallelRun {
 
 ParallelRun run_parallel_crowd(const Options& options, int devices,
                                unsigned threads, sim::Duration window,
-                               int prof_mode, bool prof_wall,
+                               int prof_mode,
                                obs::prof::WallProfiler* wall_sampler,
                                std::unique_ptr<net::ParallelWorld>& keep) {
   net::ParallelWorldConfig config;
@@ -316,7 +316,7 @@ ParallelRun run_parallel_crowd(const Options& options, int devices,
   // (PH_PROF=0 turns it off); the wall plane and Mode 2 sampler are
   // wall-clock and ride outside the byte-compared path.
   config.profile = prof_mode > 0;
-  config.profile_wall = prof_wall;
+  config.profile_wall = prof_mode >= 2;
   config.wall_sampler = wall_sampler;
   if (const char* sample_ms = std::getenv("PH_SAMPLE_MS")) {
     const long ms = std::atol(sample_ms);
@@ -415,17 +415,11 @@ int main(int argc, char** argv) {
   // Sharded-medium sweep: the kernel-parallel hot path at city scale.
   // Every (N, threads) run must be byte-identical to the same N at
   // --threads=1 — checked right here, every run, not just in ctest.
-  // PH_PROF: 0 = off, 1 (default) = deterministic Mode 1 attribution,
-  // 2 = Mode 1 + wall histograms + Mode 2 sampling profiler (workers
-  // register their span stacks; folded output via PH_PROF_FOLDED).
-  int prof_mode = 1;
-  if (const char* env = std::getenv("PH_PROF"); env != nullptr) {
-    prof_mode = std::atoi(env);
-  }
-  bool prof_wall = prof_mode >= 2;
-  if (const char* env = std::getenv("PH_PROF_WALL"); env != nullptr) {
-    if (std::atoi(env) > 0) prof_wall = true;
-  }
+  // PH_PROF (obs::prof::mode_from_env): 1 (default) = deterministic
+  // Mode 1 attribution, 2 = Mode 1 + wall histograms + Mode 2 sampling
+  // profiler (workers register their span stacks; folded output via
+  // PH_PROF_FOLDED).
+  const int prof_mode = obs::prof::mode_from_env();
   // Declared before last_world: the kept world's kernel workers unregister
   // from the sampler at teardown, so the sampler must be destroyed last.
   obs::prof::WallProfiler wall_sampler;
@@ -447,11 +441,11 @@ int main(int argc, char** argv) {
       for (unsigned threads : options.threads) {
         const ParallelRun run = run_parallel_crowd(
             options, n, threads, window, prof_mode,
-            prof_wall, prof_mode >= 2 ? &wall_sampler : nullptr, last_world);
+            prof_mode >= 2 ? &wall_sampler : nullptr, last_world);
         if (reference_json.empty()) {
           reference_json = run.metrics_json;
           base_wall = run.wall_s;
-        } else if (options.ops_socket.empty() && !prof_wall &&
+        } else if (options.ops_socket.empty() && prof_mode < 2 &&
                    run.metrics_json != reference_json) {
           // (wall histograms are machine noise — the byte check only runs
           // with the wall plane off, like the ops/stall gauges above)

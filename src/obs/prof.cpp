@@ -298,6 +298,11 @@ FoldedProfile WallProfiler::folded() const {
   return profile;
 }
 
+int mode_from_env() {
+  const char* env = std::getenv("PH_PROF");
+  return env == nullptr ? 1 : std::atoi(env);
+}
+
 void dump_folded_if_requested(const WallProfiler& profiler) {
   const char* path = std::getenv("PH_PROF_FOLDED");
   if (path == nullptr || *path == '\0') return;

@@ -394,6 +394,12 @@ class WallProfiler {
   bool stop_ = false;  // guarded by mu_
 };
 
+/// The profiling level a bench runs at, from the PH_PROF environment
+/// variable: 0 = off, 1 (the default when unset) = Mode 1 event
+/// attribution, 2 = Mode 1 + wall plane (wall-cost histograms and the
+/// slow-event watchdog) + Mode 2 sampling profiler.
+int mode_from_env();
+
 /// Appends `profiler`'s folded profile to the file named by the
 /// PH_PROF_FOLDED environment variable, if set (append: several daemons
 /// or runs may share one output; flamegraph tools sum duplicate stacks).

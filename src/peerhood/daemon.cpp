@@ -61,8 +61,8 @@ std::uint32_t Daemon::allocate_token() {
     if (token == 0) continue;
     if (pending_queries_.contains(token)) continue;
     bool in_use = false;
-    for (const auto& [id, pending] : pending_pings_) {
-      if (pending == token) {
+    for (const auto& [id, neighbour] : neighbours_) {
+      if (neighbour.ping_token == token) {
         in_use = true;
         break;
       }
@@ -133,7 +133,7 @@ void Daemon::stop() {
   running_ = false;
   ++generation_;  // orphan all pending periodic callbacks
   pending_queries_.clear();
-  pending_pings_.clear();
+  for (auto& [id, neighbour] : neighbours_) neighbour.ping_token = 0;
 }
 
 Result<void> Daemon::restart() {
@@ -438,12 +438,9 @@ void Daemon::on_daemon_datagram(NetworkPlugin& plugin, DeviceId src,
       // (normal on high-latency technologies like GPRS, where the round
       // trip can exceed the ping interval).
       c_pongs_received_->inc();
-      auto pending = pending_pings_.find(src);
-      if (pending != pending_pings_.end() && pending->second == message.token) {
-        pending_pings_.erase(pending);
-      }
       auto it = neighbours_.find(src);
       if (it != neighbours_.end()) {
+        if (it->second.ping_token == message.token) it->second.ping_token = 0;
         it->second.missed_pings = 0;
         it->second.info.last_seen = scheduler_.now();
       }
@@ -504,11 +501,13 @@ void Daemon::schedule_ping_round() {
 
 void Daemon::run_ping_round() {
   expire_stale_entries();
-  // Any ping from the previous round still unanswered counts as missed.
-  for (auto it = pending_pings_.begin(); it != pending_pings_.end();) {
-    auto neighbour = neighbours_.find(it->first);
-    it = pending_pings_.erase(it);
-    if (neighbour == neighbours_.end()) continue;
+  // Any ping from the previous round still unanswered counts as missed,
+  // in device-id order. declare_gone erases only the entry it is given,
+  // which the iterator has already left.
+  for (auto it = neighbours_.begin(); it != neighbours_.end();) {
+    auto neighbour = it++;
+    if (neighbour->second.ping_token == 0) continue;
+    neighbour->second.ping_token = 0;
     if (++neighbour->second.missed_pings >= config_.max_missed_pings) {
       declare_gone(neighbour->first, GoneCause::missed_pings);
     }
@@ -542,7 +541,7 @@ bool Daemon::send_ping(DeviceId id, int attempt) {
   }
   if (best == nullptr) return false;
   const std::uint32_t token = allocate_token();
-  pending_pings_[id] = token;
+  it->second.ping_token = token;
   c_pings_sent_->inc();
   proto::DaemonMessage ping;
   ping.op = proto::DaemonOp::ping;
@@ -573,9 +572,11 @@ void Daemon::schedule_ping_retry(DeviceId id, std::uint32_t token,
   const obs::prof::TagScope tag(obs::prof::Center::peerhood_ping);
   scheduler_.schedule(delay, [this, gen, id, token, attempt] {
     if (!running_ || gen != generation_) return;
-    auto pending = pending_pings_.find(id);
+    auto neighbour = neighbours_.find(id);
     // Answered, evicted, or superseded by the next round meanwhile.
-    if (pending == pending_pings_.end() || pending->second != token) return;
+    if (neighbour == neighbours_.end() || neighbour->second.ping_token != token) {
+      return;
+    }
     send_ping(id, attempt + 1);
   });
 }
@@ -586,7 +587,6 @@ void Daemon::declare_gone(DeviceId id, GoneCause cause) {
   const bool was_announced = it->second.announced;
   DeviceInfo last_known = std::move(it->second.info);
   neighbours_.erase(it);
-  pending_pings_.erase(id);
   refresh_table_gauges();
   if (!was_announced) return;
   c_neighbours_disappeared_->inc();

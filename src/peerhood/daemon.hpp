@@ -184,6 +184,8 @@ class Daemon {
   struct Neighbour {
     DeviceInfo info;
     int missed_pings = 0;
+    /// Token of this round's unanswered ping; 0 = none outstanding.
+    std::uint32_t ping_token = 0;
     bool services_known = false;
     bool announced = false;  // on_appear already fired
   };
@@ -254,7 +256,6 @@ class Daemon {
   std::map<std::string, ServiceInfo> local_services_;
   std::map<DeviceId, Neighbour> neighbours_;
   std::map<std::uint32_t, PendingQuery> pending_queries_;
-  std::map<DeviceId, std::uint32_t> pending_pings_;  // device -> token
   std::uint32_t next_token_ = 1;
 
   std::map<MonitorId, Monitor> monitors_;

@@ -20,6 +20,7 @@
 #include "obs/prof.hpp"
 #include "obs/sampler.hpp"
 #include "obs/slo.hpp"
+#include "proto/codec.hpp"
 #include "proto/frame.hpp"
 #include "util/callback_slot.hpp"
 #include "util/check.hpp"
@@ -34,40 +35,6 @@ namespace {
 // Wire helpers
 // ---------------------------------------------------------------------------
 
-void append_u16(Bytes& out, std::uint16_t v) {
-  out.push_back(static_cast<std::uint8_t>(v & 0xFF));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-}
-
-void append_u32(Bytes& out, std::uint32_t v) {
-  for (int shift = 0; shift < 32; shift += 8) {
-    out.push_back(static_cast<std::uint8_t>((v >> shift) & 0xFF));
-  }
-}
-
-void append_u64(Bytes& out, std::uint64_t v) {
-  for (int shift = 0; shift < 64; shift += 8) {
-    out.push_back(static_cast<std::uint8_t>((v >> shift) & 0xFF));
-  }
-}
-
-std::uint16_t read_u16(BytesView data) {
-  return static_cast<std::uint16_t>(data[0] |
-                                    (static_cast<std::uint16_t>(data[1]) << 8));
-}
-
-std::uint32_t read_u32(BytesView data) {
-  std::uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) v = (v << 8) | data[i];
-  return v;
-}
-
-std::uint64_t read_u64(BytesView data) {
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) v = (v << 8) | data[i];
-  return v;
-}
-
 /// Bytes one length-prefixed stream message of `payload` occupies.
 std::size_t stream_message_size(BytesView payload) {
   return 4 + proto::kFrameHeaderSize + payload.size();
@@ -77,17 +44,11 @@ std::size_t stream_message_size(BytesView payload) {
 /// then the frame, written in place.
 void append_stream_message(Bytes& out, proto::FrameKind kind,
                            BytesView payload) {
-  append_u32(out, static_cast<std::uint32_t>(proto::kFrameHeaderSize +
-                                             payload.size()));
+  std::uint8_t len[4];
+  proto::store_le(len, static_cast<std::uint32_t>(proto::kFrameHeaderSize +
+                                                  payload.size()));
+  out.insert(out.end(), len, len + 4);
   proto::append_frame(out, kind, payload);
-}
-
-/// One stream message in a buffer of its own (handshake frames).
-Bytes make_stream_message(proto::FrameKind kind, BytesView payload) {
-  Bytes out;
-  out.reserve(stream_message_size(payload));
-  append_stream_message(out, kind, payload);
-  return out;
 }
 
 int make_socket(int type) {
@@ -232,30 +193,42 @@ class SocketTransport::WallScheduler final : public Scheduler {
 };
 
 // ---------------------------------------------------------------------------
-// SocketChannelState — one established SOCK_STREAM channel end.
+// SocketChannelState — one SOCK_STREAM socket, from connect/accept4 to close.
 // ---------------------------------------------------------------------------
 
 namespace {
 
+/// A stream goes opening → open → closed. While opening it carries the
+/// handshake: the connector sends channel_open and waits for
+/// channel_accept or channel_reject; the acceptor waits for channel_open.
+/// Handshake and data frames share one reader (handle_io + deliver_frames)
+/// and one writer (out_buf_ + flush); only an open stream is a Channel the
+/// layers above can see.
 class SocketChannelState final
     : public detail::ChannelState,
       public std::enable_shared_from_this<SocketChannelState> {
  public:
-  SocketChannelState(SocketTransport& transport, int fd, DeviceId remote,
-                     net::Technology tech)
-      : transport_(transport), fd_(fd), remote_(remote), tech_(tech) {}
+  /// Receives the peer's first frame with the stream still opening, or the
+  /// reason it closed before one arrived (timeout, EOF, an unreadable
+  /// frame, endpoint power-off). Called at most once. Given a frame, it
+  /// must either establish() the stream or chan_close() it.
+  using OpeningHandler =
+      std::function<void(SocketChannelState&, Result<proto::FrameView>)>;
+
+  SocketChannelState(SocketTransport& transport, int fd, net::Technology tech)
+      : transport_(transport), fd_(fd), tech_(tech) {}
 
   ~SocketChannelState() override {
     if (fd_ >= 0) ::close(fd_);
   }
 
-  bool chan_open() const override { return open_; }
+  bool chan_open() const override { return phase_ == Phase::open; }
   DeviceId chan_remote() const override { return remote_; }
   net::Technology chan_technology() const override { return tech_; }
   void chan_on_receive(std::function<void(BytesView)> handler) override {
     on_receive_ = std::move(handler);
-    // Frames may already be buffered (handshake leftover, or data that
-    // arrived before the handler was installed) — drain them now that
+    // Frames may already be buffered (they rode in behind the handshake,
+    // or arrived before the handler was installed) — drain them now that
     // someone can receive. Deferred so attaching a handler mid-dispatch
     // never re-enters the delivery loop.
     schedule_drain();
@@ -263,18 +236,32 @@ class SocketChannelState final
   void chan_on_break(std::function<void()> handler) override {
     on_break_ = std::move(handler);
   }
-  double chan_signal() const override { return open_ ? 1.0 : 0.0; }
+  double chan_signal() const override { return chan_open() ? 1.0 : 0.0; }
 
   void chan_send(BytesView payload) override;
   void chan_close() override;
 
-  /// Registers with the epoll loop. The fd handler keeps the state alive
-  /// (shared_ptr capture) until the channel closes or breaks — like a
-  /// simulated link, an established channel outlives dropped user handles.
-  void start(Bytes leftover);
+  /// Registers with the epoll loop and starts the opening phase: the first
+  /// frame goes to `on_first_frame`, and a stream still opening after
+  /// `timeout` (virtual) fails with Errc::timeout. The fd handler keeps the
+  /// state alive (shared_ptr capture) until it closes or breaks — like a
+  /// simulated link, an open channel outlives dropped user handles.
+  void start(sim::Duration timeout, OpeningHandler on_first_frame);
 
-  /// Forced break from outside the I/O path (endpoint powered off).
-  void force_break() { do_break(); }
+  bool opening() const noexcept { return phase_ == Phase::opening; }
+  /// Ends the opening phase in place: the stream becomes an open channel
+  /// to `remote`, with whatever followed the handshake still buffered.
+  void establish(DeviceId remote);
+  /// Wall µs at which the opening phase started (handshake latency).
+  std::uint64_t started_wall_us() const noexcept { return started_wall_; }
+
+  /// Queues one frame and writes what the socket takes.
+  void send_frame(proto::FrameKind kind, BytesView payload);
+
+  /// The stream is unusable. An opening stream closes and hands `why` to
+  /// its opening handler; an open one closes as a counted break and runs
+  /// its break handler.
+  void fail(Error why);
 
   /// Queues a transport-internal RTT probe carrying the sender's wall
   /// clock; the peer echoes it back as channel_pong and the receive path
@@ -290,32 +277,60 @@ class SocketChannelState final
   std::size_t recv_queue_bytes() const noexcept { return in_buf_.size(); }
 
  private:
+  enum class Phase : std::uint8_t { opening, open, closed };
+
   void handle_io(std::uint32_t events);
   void deliver_frames();
   void schedule_drain();
   void flush();
-  void do_break();
+  /// Enters the closed phase: cancels the opening timer, unregisters and
+  /// closes the fd. Handlers are the caller's business.
+  void close_fd();
 
   SocketTransport& transport_;
   int fd_;
-  DeviceId remote_;
+  DeviceId remote_ = net::kInvalidNode;
   net::Technology tech_;
-  bool open_ = true;
+  Phase phase_ = Phase::opening;
   bool want_write_ = false;
   bool peer_gone_ = false;     // EOF/hard error seen; break after delivery
   bool drain_pending_ = false; // a schedule(0) drain is already queued
+  sim::EventId open_timer_ = 0;
+  std::uint64_t started_wall_ = 0;
   Bytes in_buf_;
   Bytes out_buf_;
   std::size_t out_pos_ = 0;
+  OpeningHandler on_opening_;
   util::CallbackSlot<void(BytesView)> on_receive_;
   std::function<void()> on_break_;
 };
+
+void SocketChannelState::start(sim::Duration timeout,
+                               OpeningHandler on_first_frame) {
+  on_opening_ = std::move(on_first_frame);
+  started_wall_ = transport_.wall_now_us();
+  open_timer_ = transport_.scheduler().schedule(
+      timeout, [weak = weak_from_this()] {
+        if (auto self = weak.lock()) {
+          self->fail(Error{Errc::timeout, "channel open timed out"});
+        }
+      });
+  auto self = shared_from_this();
+  transport_.watch_fd(fd_, EPOLLIN,
+                      [self](std::uint32_t events) { self->handle_io(events); });
+}
+
+void SocketChannelState::establish(DeviceId remote) {
+  phase_ = Phase::open;
+  remote_ = remote;
+  transport_.scheduler().cancel(std::exchange(open_timer_, 0));
+}
 
 void SocketChannelState::chan_send(BytesView payload) {
   // Silently discarded when closed, like a closed simulated link; after
   // EOF the peer is gone and a write would EPIPE-break the channel before
   // its buffered tail frames were delivered.
-  if (!open_ || peer_gone_) return;
+  if (phase_ != Phase::open || peer_gone_) return;
   const std::size_t queued = out_buf_.size() - out_pos_;
   if (queued + stream_message_size(payload) > kMaxSendQueue) {
     // The peer has stopped reading: buffering on would grow without bound.
@@ -323,25 +338,28 @@ void SocketChannelState::chan_send(BytesView payload) {
     PH_LOG(warn, "socket") << "channel to device " << remote_
                            << ": peer is not reading, " << queued
                            << " bytes already queued; breaking";
-    do_break();
+    fail(Error{Errc::connection_lost, "peer is not reading"});
     return;
   }
-  append_stream_message(out_buf_, proto::FrameKind::channel_data, payload);
   transport_.note_channel_send(payload.size());
-  flush();
+  send_frame(proto::FrameKind::channel_data, payload);
 }
 
 void SocketChannelState::send_ping(std::uint64_t wall_us) {
-  if (!open_ || peer_gone_) return;
-  Bytes stamp;
-  append_u64(stamp, wall_us);
-  append_stream_message(out_buf_, proto::FrameKind::channel_ping, stamp);
+  if (phase_ != Phase::open || peer_gone_) return;
+  std::uint8_t stamp[8];
+  proto::store_le(stamp, wall_us);
   transport_.note_rtt_probe();
+  send_frame(proto::FrameKind::channel_ping, stamp);
+}
+
+void SocketChannelState::send_frame(proto::FrameKind kind, BytesView payload) {
+  append_stream_message(out_buf_, kind, payload);
   flush();
 }
 
 void SocketChannelState::flush() {
-  while (open_ && out_pos_ < out_buf_.size()) {
+  while (phase_ != Phase::closed && out_pos_ < out_buf_.size()) {
     const std::size_t remaining = out_buf_.size() - out_pos_;
     const ssize_t n =
         ::send(fd_, out_buf_.data() + out_pos_, remaining, MSG_NOSIGNAL);
@@ -369,7 +387,7 @@ void SocketChannelState::flush() {
       return;
     }
     if (n < 0 && errno == EINTR) continue;
-    do_break();
+    fail(Error{Errc::device_unreachable, "stream write failed"});
     return;
   }
   if (out_pos_ >= out_buf_.size()) {
@@ -377,26 +395,15 @@ void SocketChannelState::flush() {
     out_pos_ = 0;
     if (want_write_) {
       want_write_ = false;
-      if (open_) transport_.rearm_fd(fd_, EPOLLIN);
+      if (phase_ != Phase::closed) transport_.rearm_fd(fd_, EPOLLIN);
     }
   }
 }
 
-void SocketChannelState::start(Bytes leftover) {
-  in_buf_ = std::move(leftover);
-  auto self = shared_from_this();
-  transport_.watch_fd(fd_, EPOLLIN,
-                      [self](std::uint32_t events) { self->handle_io(events); });
-  // Bytes that rode in behind the handshake frame are already ours, but the
-  // Channel has not reached the caller yet, so no receive handler can be
-  // installed. deliver_frames never consumes data frames without one;
-  // chan_on_receive schedules the drain once the caller attaches.
-}
-
 void SocketChannelState::handle_io(std::uint32_t events) {
-  if (!open_) return;
+  if (phase_ == Phase::closed) return;
   if (events & EPOLLOUT) flush();
-  if (!open_) return;  // flush may have hit a hard error and broken us
+  if (phase_ == Phase::closed) return;  // flush hit a hard error
   // EPOLLERR/EPOLLHUP also take the read path: recv drains whatever the
   // peer sent before resetting, then reports EOF, which breaks the channel.
   if (events & (EPOLLIN | EPOLLERR | EPOLLHUP)) {
@@ -417,7 +424,7 @@ void SocketChannelState::handle_io(std::uint32_t events) {
       break;
     }
     deliver_frames();
-    if (open_ && peer_gone_) {
+    if (phase_ != Phase::closed && peer_gone_) {
       // Break deferred: data frames are buffered but no receive handler is
       // installed yet. Nothing further can arrive after EOF, and epoll
       // reports HUP unconditionally (level-triggered), so stop watching the
@@ -427,41 +434,53 @@ void SocketChannelState::handle_io(std::uint32_t events) {
   }
 }
 
-/// Parses and delivers every complete length-prefixed frame, in order.
-/// A data frame is never consumed while no receive handler is installed —
+/// Parses every complete length-prefixed frame, in order — the one place
+/// that reads a stream length prefix. The first frame of an opening stream
+/// goes to its opening handler; after that, data frames are delivered. A
+/// data frame is never consumed while no receive handler is installed —
 /// it stays buffered until chan_on_receive drains it — preserving the
-/// exactly-once in-order contract. Once the peer is gone the channel
-/// breaks only after everything deliverable has been delivered.
+/// exactly-once in-order contract. Once the peer is gone the stream fails
+/// only after everything deliverable has been delivered.
 void SocketChannelState::deliver_frames() {
   std::size_t pos = 0;
   bool stalled = false;
-  while (open_ && in_buf_.size() - pos >= 4) {
-    const std::uint32_t len = read_u32(BytesView(in_buf_).subspan(pos, 4));
+  while (phase_ != Phase::closed && in_buf_.size() - pos >= 4) {
+    const std::uint32_t len =
+        *proto::Reader(BytesView(in_buf_).subspan(pos, 4)).u32();
     if (len > kMaxStreamFrame) {
       transport_.note_bad_frame();
-      do_break();
+      fail(Error{Errc::protocol_error, "stream frame over kMaxStreamFrame"});
       return;
     }
     if (in_buf_.size() - pos - 4 < len) break;
     const BytesView frame_bytes = BytesView(in_buf_).subspan(pos + 4, len);
     auto frame = proto::decode_frame(frame_bytes);
+    if (phase_ == Phase::opening) {
+      pos += 4 + len;
+      if (!frame) {
+        transport_.note_bad_frame();
+        fail(std::move(frame).error());
+        return;
+      }
+      auto handler = std::move(on_opening_);
+      on_opening_ = nullptr;
+      handler(*this, *frame);
+      continue;
+    }
     // RTT probes are transport-internal: consumed here, before the
     // no-handler stall check, never surfaced to the receive handler.
     if (frame && frame->kind == proto::FrameKind::channel_ping) {
       pos += 4 + len;
       if (frame->payload.size() >= 8 && !peer_gone_) {
-        append_stream_message(out_buf_, proto::FrameKind::channel_pong,
-                              frame->payload.subspan(0, 8));
-        flush();
+        send_frame(proto::FrameKind::channel_pong, frame->payload.subspan(0, 8));
       }
       continue;
     }
     if (frame && frame->kind == proto::FrameKind::channel_pong) {
       pos += 4 + len;
-      if (frame->payload.size() >= 8) {
-        const std::uint64_t echoed = read_u64(frame->payload.subspan(0, 8));
+      if (auto echoed = proto::Reader(frame->payload).u64()) {
         const std::uint64_t now = transport_.wall_now_us();
-        if (now >= echoed) transport_.note_rtt_sample(now - echoed);
+        if (now >= *echoed) transport_.note_rtt_sample(now - *echoed);
       }
       continue;
     }
@@ -481,27 +500,26 @@ void SocketChannelState::deliver_frames() {
     on_receive_(frame->payload);
   }
   if (pos > 0) in_buf_.erase(in_buf_.begin(), in_buf_.begin() + pos);
-  if (open_ && peer_gone_ && !stalled) {
+  if (phase_ != Phase::closed && peer_gone_ && !stalled) {
     // Bytes left at EOF are a frame the peer cut off mid-write.
     if (!in_buf_.empty()) transport_.note_bad_frame();
-    do_break();
+    fail(Error{Errc::device_unreachable, "peer closed the stream"});
   }
 }
 
 void SocketChannelState::schedule_drain() {
-  if (!open_ || drain_pending_ || !on_receive_) return;
+  if (phase_ != Phase::open || drain_pending_ || !on_receive_) return;
   if (in_buf_.empty() && !peer_gone_) return;
   drain_pending_ = true;
   auto self = shared_from_this();
   transport_.scheduler().schedule(0, [self]() {
     self->drain_pending_ = false;
-    if (self->open_) self->deliver_frames();
+    if (self->phase_ == Phase::open) self->deliver_frames();
   });
 }
 
 void SocketChannelState::chan_close() {
-  if (!open_) return;
-  open_ = false;
+  if (phase_ == Phase::closed) return;
   // Push out whatever is queued without blocking; the peer then sees EOF.
   while (out_pos_ < out_buf_.size()) {
     const ssize_t n = ::send(fd_, out_buf_.data() + out_pos_,
@@ -509,24 +527,35 @@ void SocketChannelState::chan_close() {
     if (n <= 0) break;
     out_pos_ += static_cast<std::size_t>(n);
   }
-  transport_.unwatch_fd(fd_);
-  ::close(fd_);
-  fd_ = -1;
+  close_fd();
+  on_opening_ = nullptr;
   on_receive_ = nullptr;
   on_break_ = nullptr;  // local close is not a break
 }
 
-void SocketChannelState::do_break() {
-  if (!open_) return;
-  open_ = false;
-  transport_.unwatch_fd(fd_);
-  ::close(fd_);
-  fd_ = -1;
+void SocketChannelState::fail(Error why) {
+  if (phase_ == Phase::closed) return;
+  const bool was_open = phase_ == Phase::open;
+  close_fd();
+  if (!was_open) {
+    auto handler = std::move(on_opening_);
+    on_opening_ = nullptr;
+    if (handler) handler(*this, std::move(why));
+    return;
+  }
   transport_.note_channel_break();
   auto handler = std::move(on_break_);
   on_break_ = nullptr;
   on_receive_ = nullptr;
   if (handler) handler();
+}
+
+void SocketChannelState::close_fd() {
+  phase_ = Phase::closed;
+  transport_.scheduler().cancel(std::exchange(open_timer_, 0));
+  transport_.unwatch_fd(fd_);
+  ::close(fd_);
+  fd_ = -1;
 }
 
 }  // namespace
@@ -604,34 +633,21 @@ class SocketTransport::SocketEndpoint final : public Endpoint {
   }
 
  private:
-  /// An outgoing connect between ::connect(2) and channel_accept/reject.
-  struct PendingConn {
-    int fd = -1;
-    DeviceId dst = net::kInvalidNode;
-    ConnectHandler done;
-    Bytes buf;
-    sim::EventId timeout = 0;
-    std::uint64_t started_wall = 0;  ///< handshake latency start stamp
-  };
-  /// An accepted stream fd waiting for its channel_open frame.
-  struct PendingAccept {
-    int fd = -1;
-    Bytes buf;
-    sim::EventId timeout = 0;
-    std::uint64_t started_wall = 0;
-  };
-
   void bring_up();
   void tear_down(bool notify);
   void handle_dgram_readable();
   void handle_listen_readable();
-  void settle_accept(int fd);
-  void drop_accept(int fd);
-  void settle_connect(int fd);
-  void fail_connect(int fd, Error error);
+  /// The acceptor's half of the handshake: answers the peer's first frame
+  /// with channel_accept (and hands the open channel to the listener) or
+  /// channel_reject.
+  void answer_channel_open(SocketChannelState& state,
+                           Result<proto::FrameView> open);
   std::vector<DeviceId> scan_peers() const;
-  std::shared_ptr<SocketChannelState> adopt(int fd, DeviceId remote,
-                                            Bytes leftover);
+  /// Wraps a fresh stream fd in a channel state and starts its opening
+  /// phase (see SocketChannelState::start).
+  std::shared_ptr<SocketChannelState> open_stream(
+      int fd, sim::Duration timeout,
+      SocketChannelState::OpeningHandler on_first_frame);
 
   SocketTransport& t_;
   DeviceId device_;
@@ -641,8 +657,7 @@ class SocketTransport::SocketEndpoint final : public Endpoint {
   int listen_fd_ = -1;
   std::map<net::Port, DatagramHandler> dgram_handlers_;
   std::map<net::Port, AcceptHandler> listeners_;
-  std::map<int, PendingConn> pending_conns_;
-  std::map<int, PendingAccept> pending_accepts_;
+  /// Every stream socket of this endpoint, opening or open.
   std::vector<std::weak_ptr<SocketChannelState>> channels_;
 };
 
@@ -685,22 +700,19 @@ void SocketTransport::SocketEndpoint::tear_down(bool notify) {
     listen_fd_ = -1;
     ::unlink(endpoint_path(t_.dir_, device_, profile_.tech, "stream").c_str());
   }
-  while (!pending_accepts_.empty()) drop_accept(pending_accepts_.begin()->first);
-  while (!pending_conns_.empty()) {
-    fail_connect(pending_conns_.begin()->first,
-                 Error{Errc::connect_failed, "local endpoint powered off"});
-  }
-  // Break (or silently drop) every live channel. force_break unregisters
-  // the fd handler, releasing the loop's owning reference.
+  // A pending connect fails with connect_failed and a pending accept closes
+  // without a reply; an open channel breaks, or closes silently when the
+  // endpoint is being destroyed. Closing unregisters the fd handler,
+  // releasing the loop's owning reference.
   auto channels = std::move(channels_);
   channels_.clear();
   for (auto& weak : channels) {
-    if (auto ch = weak.lock()) {
-      if (notify) {
-        ch->force_break();
-      } else {
-        ch->chan_close();
-      }
+    auto ch = weak.lock();
+    if (!ch) continue;
+    if (notify || ch->opening()) {
+      ch->fail(Error{Errc::connect_failed, "local endpoint powered off"});
+    } else {
+      ch->chan_close();
     }
   }
 }
@@ -720,8 +732,9 @@ void SocketTransport::SocketEndpoint::handle_dgram_readable() {
       t_.note_bad_frame();
       continue;
     }
-    const DeviceId src = read_u32(frame->payload.subspan(0, 4));
-    const net::Port port = read_u16(frame->payload.subspan(4, 2));
+    proto::Reader head(frame->payload);
+    const DeviceId src = *head.u32();
+    const net::Port port = *head.u16();
     t_.metrics_.datagrams_received->inc();
     auto it = dgram_handlers_.find(port);
     if (it == dgram_handlers_.end()) continue;
@@ -734,18 +747,20 @@ void SocketTransport::SocketEndpoint::handle_dgram_readable() {
 void SocketTransport::SocketEndpoint::send_datagram(DeviceId dst, net::Port port,
                                                     BytesView payload) {
   if (!powered_) return;
-  Bytes body;
-  body.reserve(6 + payload.size());
-  append_u32(body, device_);  // src
-  append_u16(body, port);
-  body.insert(body.end(), payload.begin(), payload.end());
-  const Bytes frame = proto::encode_frame(proto::FrameKind::datagram, body);
+  // One buffer: envelope header, u32 src, u16 port, payload.
+  std::uint8_t head[6];
+  proto::store_le(head, device_);
+  proto::store_le(head + 4, port);
+  Bytes frame;
+  frame.reserve(proto::kFrameHeaderSize + sizeof(head) + payload.size());
+  proto::append_frame(frame, proto::FrameKind::datagram, head);
+  frame.insert(frame.end(), payload.begin(), payload.end());
   const std::string path = endpoint_path(t_.dir_, dst, profile_.tech, "dgram");
   sockaddr_un addr = make_addr(path);
   // Fire and forget: an absent or unpowered peer just loses the frame,
   // exactly the unreliable-datagram contract.
-  (void)::sendto(dgram_fd_, frame.data(), frame.size(), MSG_NOSIGNAL,
-                 reinterpret_cast<sockaddr*>(&addr), sizeof(addr));
+  ::sendto(dgram_fd_, frame.data(), frame.size(), MSG_NOSIGNAL,
+           reinterpret_cast<sockaddr*>(&addr), sizeof(addr));
   t_.metrics_.datagrams_sent->inc();
   t_.metrics_.datagram_bytes->inc(payload.size());
 }
@@ -798,13 +813,13 @@ double SocketTransport::SocketEndpoint::signal_to(DeviceId dst) const {
   return ::access(path.c_str(), F_OK) == 0 ? 1.0 : 0.0;
 }
 
-std::shared_ptr<SocketChannelState> SocketTransport::SocketEndpoint::adopt(
-    int fd, DeviceId remote, Bytes leftover) {
-  auto state =
-      std::make_shared<SocketChannelState>(t_, fd, remote, profile_.tech);
-  state->start(std::move(leftover));
+std::shared_ptr<SocketChannelState> SocketTransport::SocketEndpoint::open_stream(
+    int fd, sim::Duration timeout,
+    SocketChannelState::OpeningHandler on_first_frame) {
+  auto state = std::make_shared<SocketChannelState>(t_, fd, profile_.tech);
   std::erase_if(channels_, [](const auto& weak) { return weak.expired(); });
   channels_.push_back(state);
+  state->start(timeout, std::move(on_first_frame));
   return state;
 }
 
@@ -818,84 +833,46 @@ void SocketTransport::SocketEndpoint::handle_listen_readable() {
       if (errno == EINTR) continue;
       return;  // EAGAIN or transient error — epoll will re-notify
     }
-    auto [it, inserted] = pending_accepts_.emplace(fd, PendingAccept{});
-    it->second.fd = fd;
-    it->second.started_wall = t_.wall_now_us();
     // A peer that connects but never sends channel_open must not pin the
     // fd forever.
-    it->second.timeout = t_.scheduler_->schedule(
-        sim::seconds(10), [this, fd]() { drop_accept(fd); });
-    t_.watch_fd(fd, EPOLLIN, [this, fd](std::uint32_t) { settle_accept(fd); });
+    open_stream(fd, sim::seconds(10),
+                [this](SocketChannelState& state, Result<proto::FrameView> open) {
+                  answer_channel_open(state, std::move(open));
+                });
   }
 }
 
-void SocketTransport::SocketEndpoint::drop_accept(int fd) {
-  auto it = pending_accepts_.find(fd);
-  if (it == pending_accepts_.end()) return;
-  t_.scheduler_->cancel(it->second.timeout);
-  t_.unwatch_fd(fd);
-  ::close(fd);
-  pending_accepts_.erase(it);
-}
-
-void SocketTransport::SocketEndpoint::settle_accept(int fd) {
-  auto it = pending_accepts_.find(fd);
-  if (it == pending_accepts_.end()) return;
-  PendingAccept& pa = it->second;
-  std::uint8_t buf[4096];
-  for (;;) {
-    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-    if (n > 0) {
-      pa.buf.insert(pa.buf.end(), buf, buf + n);
-      continue;
-    }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-    if (n < 0 && errno == EINTR) continue;
-    drop_accept(fd);  // peer vanished before the handshake
-    return;
-  }
-  if (pa.buf.size() < 4) return;
-  const std::uint32_t len = read_u32(BytesView(pa.buf).subspan(0, 4));
-  if (len > kMaxStreamFrame) {
-    drop_accept(fd);
-    return;
-  }
-  if (pa.buf.size() - 4 < len) return;  // handshake frame still partial
-  auto frame = proto::decode_frame(BytesView(pa.buf).subspan(4, len));
-  Bytes leftover(pa.buf.begin() + 4 + len, pa.buf.end());
-  if (!frame || frame->kind != proto::FrameKind::channel_open ||
-      frame->payload.size() < 6) {
+void SocketTransport::SocketEndpoint::answer_channel_open(
+    SocketChannelState& state, Result<proto::FrameView> open) {
+  // Timed out, cut off or unreadable before channel_open: already closed,
+  // and a peer that never finished its request gets no reply.
+  if (!open) return;
+  if (open->kind != proto::FrameKind::channel_open ||
+      open->payload.size() < 6) {
     t_.note_bad_frame();
-    drop_accept(fd);
+    state.chan_close();
     return;
   }
-  const DeviceId src = read_u32(frame->payload.subspan(0, 4));
-  const net::Port port = read_u16(frame->payload.subspan(4, 2));
+  proto::Reader request(open->payload);
+  const DeviceId src = *request.u32();
+  const net::Port port = *request.u16();
   auto listener = listeners_.find(port);
-  if (!powered_ || listener == listeners_.end()) {
-    Bytes body;
-    body.push_back(static_cast<std::uint8_t>(Errc::connect_failed));
-    const Bytes reply =
-        make_stream_message(proto::FrameKind::channel_reject, body);
-    (void)::send(fd, reply.data(), reply.size(), MSG_NOSIGNAL);
-    drop_accept(fd);
+  if (listener == listeners_.end()) {
+    const auto reason = static_cast<std::uint8_t>(Errc::connect_failed);
+    state.send_frame(proto::FrameKind::channel_reject, BytesView(&reason, 1));
+    state.chan_close();
     return;
   }
-  Bytes body;
-  append_u32(body, device_);
-  const Bytes reply = make_stream_message(proto::FrameKind::channel_accept, body);
-  (void)::send(fd, reply.data(), reply.size(), MSG_NOSIGNAL);
-  // Promote the fd: cancel bookkeeping first, then hand it to a channel.
-  t_.scheduler_->cancel(pa.timeout);
-  t_.unwatch_fd(fd);
+  std::uint8_t reply[4];
+  proto::store_le(reply, device_);
+  state.send_frame(proto::FrameKind::channel_accept, reply);
+  if (!state.opening()) return;  // the peer vanished before the reply went out
+  state.establish(src);
   AcceptHandler handler = listener->second;  // copy — may stop_listen inside
-  const std::uint64_t started = pa.started_wall;
-  pending_accepts_.erase(it);
-  auto state = adopt(fd, src, std::move(leftover));
   t_.metrics_.channels_accepted->inc();
   t_.metrics_.handshake_us->observe(
-      static_cast<double>(t_.wall_now_us() - started));
-  handler(Channel(state));
+      static_cast<double>(t_.wall_now_us() - state.started_wall_us()));
+  handler(Channel(state.shared_from_this()));
 }
 
 // --- connect side ----------------------------------------------------------
@@ -924,102 +901,39 @@ void SocketTransport::SocketEndpoint::connect(DeviceId dst, net::Port port,
     });
     return;
   }
-  Bytes body;
-  append_u32(body, device_);
-  append_u16(body, port);
-  const Bytes open_msg =
-      make_stream_message(proto::FrameKind::channel_open, body);
-  (void)::send(fd, open_msg.data(), open_msg.size(), MSG_NOSIGNAL);
-
-  auto [it, inserted] = pending_conns_.emplace(fd, PendingConn{});
-  it->second.fd = fd;
-  it->second.dst = dst;
-  it->second.done = std::move(done);
-  it->second.started_wall = t_.wall_now_us();
-  it->second.timeout = t_.scheduler_->schedule(
-      profile_.connect_latency + sim::seconds(10), [this, fd]() {
-        fail_connect(fd, Error{Errc::timeout, "channel open timed out"});
+  auto state = open_stream(
+      fd, profile_.connect_latency + sim::seconds(10),
+      [this, dst, done = std::move(done)](SocketChannelState& stream,
+                                          Result<proto::FrameView> reply) {
+        // Timed out, cut off, unreadable or powered off: already closed.
+        if (!reply) return done(std::move(reply).error());
+        if (reply->kind == proto::FrameKind::channel_reject) {
+          const Errc code = reply->payload.empty()
+                                ? Errc::connect_failed
+                                : static_cast<Errc>(std::min<std::uint8_t>(
+                                      reply->payload[0],
+                                      static_cast<std::uint8_t>(kMaxErrc)));
+          stream.chan_close();
+          return done(Error{code == Errc::ok ? Errc::connect_failed : code,
+                            "peer rejected channel open"});
+        }
+        if (reply->kind != proto::FrameKind::channel_accept) {
+          stream.chan_close();
+          return done(
+              Error{Errc::protocol_error, "unexpected handshake reply"});
+        }
+        stream.establish(dst);
+        t_.metrics_.channels_opened->inc();
+        t_.metrics_.handshake_us->observe(
+            static_cast<double>(t_.wall_now_us() - stream.started_wall_us()));
+        done(Channel(stream.shared_from_this()));
       });
-  t_.watch_fd(fd, EPOLLIN, [this, fd](std::uint32_t) { settle_connect(fd); });
+  std::uint8_t request[6];
+  proto::store_le(request, device_);
+  proto::store_le(request + 4, port);
+  state->send_frame(proto::FrameKind::channel_open, request);
 }
 
-void SocketTransport::SocketEndpoint::fail_connect(int fd, Error error) {
-  auto it = pending_conns_.find(fd);
-  if (it == pending_conns_.end()) return;
-  ConnectHandler done = std::move(it->second.done);
-  t_.scheduler_->cancel(it->second.timeout);
-  t_.unwatch_fd(fd);
-  ::close(fd);
-  pending_conns_.erase(it);
-  done(std::move(error));
-}
-
-void SocketTransport::SocketEndpoint::settle_connect(int fd) {
-  auto it = pending_conns_.find(fd);
-  if (it == pending_conns_.end()) return;
-  PendingConn& pc = it->second;
-  std::uint8_t buf[4096];
-  // On EOF the peer may already have written a complete reject/accept frame
-  // before closing (reject-then-close is the normal refusal shape), so parse
-  // the buffered bytes first and only report unreachable if they are short.
-  bool eof = false;
-  for (;;) {
-    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-    if (n > 0) {
-      pc.buf.insert(pc.buf.end(), buf, buf + n);
-      continue;
-    }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-    if (n < 0 && errno == EINTR) continue;
-    eof = true;
-    break;
-  }
-  const auto incomplete = [&] {
-    if (eof) {
-      fail_connect(fd, Error{Errc::device_unreachable,
-                             "peer closed during channel open"});
-    }
-  };
-  if (pc.buf.size() < 4) return incomplete();
-  const std::uint32_t len = read_u32(BytesView(pc.buf).subspan(0, 4));
-  if (len > kMaxStreamFrame) {
-    fail_connect(fd, Error{Errc::protocol_error, "oversized handshake reply"});
-    return;
-  }
-  if (pc.buf.size() - 4 < len) return incomplete();
-  auto frame = proto::decode_frame(BytesView(pc.buf).subspan(4, len));
-  if (!frame) {
-    t_.note_bad_frame();
-    fail_connect(fd, Error{Errc::protocol_error, "bad handshake reply"});
-    return;
-  }
-  if (frame->kind == proto::FrameKind::channel_reject) {
-    const Errc code = frame->payload.empty()
-                          ? Errc::connect_failed
-                          : static_cast<Errc>(std::min<std::uint8_t>(
-                                frame->payload[0],
-                                static_cast<std::uint8_t>(kMaxErrc)));
-    fail_connect(fd, Error{code == Errc::ok ? Errc::connect_failed : code,
-                           "peer rejected channel open"});
-    return;
-  }
-  if (frame->kind != proto::FrameKind::channel_accept) {
-    fail_connect(fd, Error{Errc::protocol_error, "unexpected handshake reply"});
-    return;
-  }
-  Bytes leftover(pc.buf.begin() + 4 + len, pc.buf.end());
-  ConnectHandler done = std::move(pc.done);
-  const DeviceId dst = pc.dst;
-  const std::uint64_t started = pc.started_wall;
-  t_.scheduler_->cancel(pc.timeout);
-  t_.unwatch_fd(fd);
-  pending_conns_.erase(it);
-  auto state = adopt(fd, dst, std::move(leftover));
-  t_.metrics_.channels_opened->inc();
-  t_.metrics_.handshake_us->observe(
-      static_cast<double>(t_.wall_now_us() - started));
-  done(Channel(state));
-}
 
 // ---------------------------------------------------------------------------
 // SocketTransport

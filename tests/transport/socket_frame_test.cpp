@@ -9,6 +9,11 @@
 // stream is unusable, and count every bad frame in transport.bad_frames.
 // A raw peer that never reads must not grow the endpoint's send queue
 // without bound, nor stall the endpoint's other channels.
+//
+// The handshake runs through the same reader, so it gets the same
+// treatment from both sides: a raw peer dials the endpoint's stream
+// socket (accept side), and a raw listener bound where the endpoint
+// expects a peer device answers its connect (connect side).
 #include <gtest/gtest.h>
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -17,6 +22,8 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <filesystem>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -48,6 +55,113 @@ Bytes data_message(std::string_view text) {
   return stream_message(proto::FrameKind::channel_data, to_bytes(text));
 }
 
+/// The body of a channel_open: u32 source device, u16 destination port.
+Bytes open_body(DeviceId src, net::Port port) {
+  Bytes body;
+  append_u32(body, src);
+  body.push_back(static_cast<std::uint8_t>(port & 0xFF));
+  body.push_back(static_cast<std::uint8_t>(port >> 8));
+  return body;
+}
+
+/// The raw peer's channel_open to `port`.
+Bytes open_message(net::Port port) {
+  return stream_message(proto::FrameKind::channel_open,
+                        open_body(kRawDevice, port));
+}
+
+/// The stream socket path of `device` in `transport`'s rendezvous
+/// directory (technology 0, Bluetooth).
+std::string stream_path(const SocketTransport& transport, DeviceId device) {
+  return transport.socket_dir() + "/d" + std::to_string(device) +
+         ".t0.stream";
+}
+
+sockaddr_un unix_addr(const std::string& path) {
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
+  return addr;
+}
+
+/// A raw stream connected to `path`, with no handshake sent; -1 on failure.
+int dial(const std::string& path) {
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  if (fd < 0) return -1;
+  const sockaddr_un addr = unix_addr(path);
+  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) !=
+      0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+/// A raw listener bound at `path`, standing in for a peer device's stream
+/// socket; -1 on failure.
+int listen_raw(const std::string& path) {
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  if (fd < 0) return -1;
+  const sockaddr_un addr = unix_addr(path);
+  if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0 ||
+      ::listen(fd, 4) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+/// Pumps `scheduler` until `pred` holds or `limit` of virtual time passes.
+template <typename Pred>
+bool pump(Scheduler& scheduler, sim::Duration limit, Pred pred) {
+  const sim::Time deadline = scheduler.now() + limit;
+  while (scheduler.now() < deadline && !pred()) {
+    scheduler.run_until(
+        std::min(deadline, scheduler.now() + sim::milliseconds(5)));
+  }
+  return pred();
+}
+
+/// True once the raw peer on `fd` reads EOF, without consuming data.
+bool at_eof(int fd) {
+  std::uint8_t byte = 0;
+  return ::recv(fd, &byte, 1, MSG_PEEK | MSG_DONTWAIT) == 0;
+}
+
+/// Reads one whole stream message from the blocking raw `fd`; nullopt on
+/// EOF or a short read.
+std::optional<Bytes> read_message(int fd) {
+  std::uint8_t len_bytes[4];
+  if (::recv(fd, len_bytes, 4, MSG_WAITALL) != 4) return std::nullopt;
+  std::uint32_t len = 0;
+  for (int i = 3; i >= 0; --i) len = (len << 8) | len_bytes[i];
+  Bytes frame(len);
+  if (len > 0 &&
+      ::recv(fd, frame.data(), len, MSG_WAITALL) != static_cast<ssize_t>(len)) {
+    return std::nullopt;
+  }
+  return frame;
+}
+
+/// Open file descriptors of this process.
+std::size_t open_fd_count() {
+  std::size_t n = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/fd")) {
+    (void)entry;
+    ++n;
+  }
+  return n;
+}
+
+/// A transport whose virtual clock runs 1000x the wall clock, so the 10 s
+/// handshake timeouts pass in about 10 ms.
+SocketTransportConfig fast_clock() {
+  SocketTransportConfig config;
+  config.time_scale = 1000.0;
+  return config;
+}
+
 class SocketFrameTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -71,22 +185,10 @@ class SocketFrameTest : public ::testing::Test {
   /// endpoint's side of it is accepted_.back(). Returns the peer's fd, or
   /// -1 on failure (with a test failure recorded).
   int connect_raw() {
-    const int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
+    const int fd = dial(stream_path(transport_, host_));
     EXPECT_GE(fd, 0);
     if (fd < 0) return -1;
-    const std::string path = transport_.socket_dir() + "/d" +
-                             std::to_string(host_) + ".t0.stream";
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
-    EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
-              0);
-    Bytes open_body;
-    append_u32(open_body, kRawDevice);
-    open_body.push_back(static_cast<std::uint8_t>(kPort & 0xFF));
-    open_body.push_back(static_cast<std::uint8_t>(kPort >> 8));
-    const Bytes open =
-        stream_message(proto::FrameKind::channel_open, open_body);
+    const Bytes open = open_message(kPort);
     EXPECT_EQ(::send(fd, open.data(), open.size(), MSG_NOSIGNAL),
               static_cast<ssize_t>(open.size()));
     const std::size_t before = accepted_.size();
@@ -108,6 +210,10 @@ class SocketFrameTest : public ::testing::Test {
 
   void TearDown() override {
     if (fd_ >= 0) ::close(fd_);
+    if (listen_fd_ >= 0) {
+      ::close(listen_fd_);
+      ::unlink(stream_path(transport_, kRawDevice).c_str());
+    }
   }
 
   void write_raw(BytesView bytes) {
@@ -124,21 +230,48 @@ class SocketFrameTest : public ::testing::Test {
   /// holds or 5 s pass.
   template <typename Pred>
   bool pump_until(Pred pred) {
-    Scheduler& s = transport_.scheduler();
-    const sim::Time deadline = s.now() + sim::seconds(5);
-    while (s.now() < deadline && !pred()) {
-      s.run_until(std::min(deadline, s.now() + sim::milliseconds(5)));
+    return pump(transport_.scheduler(), sim::seconds(5), pred);
+  }
+
+  /// Opens a channel from the endpoint to a raw listener posing as device
+  /// kRawDevice. Returns the listener's accepted fd after reading (and
+  /// checking) the channel_open, or -1; the connect result lands in
+  /// connected_.
+  int connect_to_raw() {
+    listen_fd_ = listen_raw(stream_path(transport_, kRawDevice));
+    EXPECT_GE(listen_fd_, 0);
+    if (listen_fd_ < 0) return -1;
+    transport_.endpoint(host_, net::Technology::bluetooth)
+        ->connect(kRawDevice, kPort,
+                  [this](Result<Channel> r) { connected_ = std::move(r); });
+    const int fd = ::accept4(listen_fd_, nullptr, nullptr, SOCK_CLOEXEC);
+    EXPECT_GE(fd, 0);
+    if (fd < 0) return -1;
+    const auto open = read_message(fd);
+    EXPECT_TRUE(open.has_value());
+    if (open) {
+      auto frame = proto::decode_frame(*open);
+      EXPECT_TRUE(bool(frame));
+      if (frame) {
+        EXPECT_EQ(frame->kind, proto::FrameKind::channel_open);
+        EXPECT_EQ(Bytes(frame->payload.begin(), frame->payload.end()),
+                  open_body(host_, kPort));
+      }
     }
-    return pred();
+    return fd;
   }
 
   std::uint64_t bad_frames() {
     return transport_.registry().counter("transport.bad_frames").value();
   }
 
+  /// Declared before transport_, which outlives it: a connect still
+  /// pending at teardown reports into it.
+  std::optional<Result<Channel>> connected_;
   SocketTransport transport_;
   DeviceId host_ = 0;
   int fd_ = -1;
+  int listen_fd_ = -1;
   std::vector<Channel> accepted_;
   Channel server_;
   std::vector<std::string> got_;
@@ -284,6 +417,258 @@ TEST_F(SocketFrameTest, SlowReaderIsBoundedAndOtherChannelsKeepFlowing) {
             static_cast<ssize_t>(reply.size()));
   EXPECT_EQ(reply, expected);
   ::close(other_fd);
+}
+
+// --- accept side: a raw peer dials the endpoint --------------------------
+
+TEST_F(SocketFrameTest, HandshakeInSingleByteWritesIsAccepted) {
+  const int fd = dial(stream_path(transport_, host_));
+  ASSERT_GE(fd, 0);
+  const Bytes open = open_message(kPort);
+  for (std::size_t i = 0; i < open.size(); ++i) {
+    ASSERT_EQ(::send(fd, open.data() + i, 1, MSG_NOSIGNAL), 1);
+    transport_.scheduler().run_for(sim::milliseconds(2));
+    if (i + 1 < open.size()) {
+      EXPECT_EQ(accepted_.size(), 1u) << "accepted after byte " << i + 1;
+    }
+  }
+  ASSERT_TRUE(pump_until([this] { return accepted_.size() == 2; }));
+  EXPECT_TRUE(accepted_.back().open());
+  EXPECT_EQ(accepted_.back().remote_node(), kRawDevice);
+  const auto reply = read_message(fd);
+  ASSERT_TRUE(reply.has_value());
+  auto frame = proto::decode_frame(*reply);
+  ASSERT_TRUE(bool(frame));
+  EXPECT_EQ(frame->kind, proto::FrameKind::channel_accept);
+  EXPECT_EQ(bad_frames(), 0u);
+  ::close(fd);
+}
+
+TEST_F(SocketFrameTest, OversizedHandshakeLengthClosesAndIsCounted) {
+  const int fd = dial(stream_path(transport_, host_));
+  ASSERT_GE(fd, 0);
+  Bytes stream;
+  append_u32(stream, kMaxStreamFrame + 1);
+  stream.insert(stream.end(), 16, 0xAB);
+  ASSERT_EQ(::send(fd, stream.data(), stream.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(stream.size()));
+  ASSERT_TRUE(pump_until([fd] { return at_eof(fd); }));
+  EXPECT_EQ(accepted_.size(), 1u);
+  EXPECT_EQ(bad_frames(), 1u);
+  ::close(fd);
+}
+
+TEST_F(SocketFrameTest, BadMagicHandshakeClosesAndIsCounted) {
+  const int fd = dial(stream_path(transport_, host_));
+  ASSERT_GE(fd, 0);
+  Bytes open = open_message(kPort);
+  open[4] ^= 0xFF;  // first magic byte, right after the length prefix
+  ASSERT_EQ(::send(fd, open.data(), open.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(open.size()));
+  ASSERT_TRUE(pump_until([fd] { return at_eof(fd); }));
+  EXPECT_EQ(accepted_.size(), 1u);
+  EXPECT_EQ(bad_frames(), 1u);
+  ::close(fd);
+}
+
+TEST_F(SocketFrameTest, HandshakeDataAndHalfCloseAreAcceptedThenBreak) {
+  const int fd = dial(stream_path(transport_, host_));
+  ASSERT_GE(fd, 0);
+  Bytes stream = open_message(kPort);
+  const Bytes tail = data_message("tail");
+  stream.insert(stream.end(), tail.begin(), tail.end());
+  ASSERT_EQ(::send(fd, stream.data(), stream.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(stream.size()));
+  ASSERT_EQ(::shutdown(fd, SHUT_WR), 0);
+  ASSERT_TRUE(pump_until([this] { return accepted_.size() == 2; }));
+  const auto reply = read_message(fd);
+  ASSERT_TRUE(reply.has_value());
+  auto frame = proto::decode_frame(*reply);
+  ASSERT_TRUE(bool(frame));
+  EXPECT_EQ(frame->kind, proto::FrameKind::channel_accept);
+
+  // The tail waits for a receive handler; the break comes after it.
+  Channel late = accepted_.back();
+  transport_.scheduler().run_for(sim::milliseconds(20));
+  EXPECT_TRUE(late.open());
+  std::vector<std::string> got;
+  bool broke = false;
+  late.on_receive([&](BytesView payload) {
+    EXPECT_FALSE(broke);
+    got.push_back(to_text(payload));
+  });
+  late.on_break([&] { broke = true; });
+  ASSERT_TRUE(pump_until([&] { return broke; }));
+  EXPECT_EQ(got, std::vector<std::string>{"tail"});
+  EXPECT_FALSE(late.open());
+  EXPECT_EQ(bad_frames(), 0u);
+  ::close(fd);
+}
+
+TEST_F(SocketFrameTest, UnboundPortGetsChannelRejectCarryingConnectFailed) {
+  const int fd = dial(stream_path(transport_, host_));
+  ASSERT_GE(fd, 0);
+  const Bytes open = open_message(kPort + 1);
+  ASSERT_EQ(::send(fd, open.data(), open.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(open.size()));
+  ASSERT_TRUE(pump_until([fd] {
+    std::uint8_t peek[16];
+    return ::recv(fd, peek, sizeof(peek), MSG_PEEK | MSG_DONTWAIT) > 0;
+  }));
+  transport_.scheduler().run_for(sim::milliseconds(20));
+  const auto reply = read_message(fd);
+  ASSERT_TRUE(reply.has_value());
+  auto frame = proto::decode_frame(*reply);
+  ASSERT_TRUE(bool(frame));
+  EXPECT_EQ(frame->kind, proto::FrameKind::channel_reject);
+  ASSERT_EQ(frame->payload.size(), 1u);
+  EXPECT_EQ(frame->payload[0], static_cast<std::uint8_t>(Errc::connect_failed));
+  EXPECT_TRUE(at_eof(fd));  // rejected, then closed
+  EXPECT_EQ(accepted_.size(), 1u);
+  EXPECT_EQ(bad_frames(), 0u);
+  ::close(fd);
+}
+
+TEST(SocketHandshakeTimeoutTest, SilentPeerIsDroppedAtTheOpenTimeout) {
+  SocketTransport transport(fast_clock());
+  const DeviceId host = transport.add_device("host", nullptr);
+  std::size_t accepts = 0;
+  transport.add_endpoint(host, net::bluetooth_2_0())
+      .listen(kPort, [&](Channel) { ++accepts; });
+  Scheduler& scheduler = transport.scheduler();
+  const std::size_t fds_before = open_fd_count();
+  const int fd = dial(stream_path(transport, host));
+  ASSERT_GE(fd, 0);
+  const sim::Time dialled = scheduler.now();
+  // The endpoint accepts (raw fd + accepted fd), then drops the silent
+  // stream at the timeout.
+  EXPECT_TRUE(pump(scheduler, sim::seconds(5),
+                   [&] { return open_fd_count() == fds_before + 2; }));
+  ASSERT_TRUE(pump(scheduler, sim::seconds(60), [fd] { return at_eof(fd); }));
+  EXPECT_GE(scheduler.now() - dialled, sim::seconds(10));
+  EXPECT_EQ(open_fd_count(), fds_before + 1);  // only the raw peer's own
+  EXPECT_EQ(accepts, 0u);
+  EXPECT_EQ(transport.registry().counter("transport.bad_frames").value(), 0u);
+  ::close(fd);
+}
+
+// --- connect side: the endpoint dials a raw listener ----------------------
+
+TEST_F(SocketFrameTest, ConnectAcceptsFragmentedChannelAccept) {
+  const int fd = connect_to_raw();
+  ASSERT_GE(fd, 0);
+  Bytes body;
+  append_u32(body, kRawDevice);
+  const Bytes accept = stream_message(proto::FrameKind::channel_accept, body);
+  for (std::size_t i = 0; i < accept.size(); ++i) {
+    ASSERT_EQ(::send(fd, accept.data() + i, 1, MSG_NOSIGNAL), 1);
+    transport_.scheduler().run_for(sim::milliseconds(2));
+    if (i + 1 < accept.size()) {
+      EXPECT_FALSE(connected_.has_value()) << "settled after byte " << i + 1;
+    }
+  }
+  ASSERT_TRUE(pump_until([this] { return connected_.has_value(); }));
+  ASSERT_TRUE(bool(*connected_)) << connected_->error().to_string();
+  Channel channel = connected_->value();
+  EXPECT_TRUE(channel.open());
+  EXPECT_EQ(channel.remote_node(), kRawDevice);
+  EXPECT_EQ(
+      transport_.registry().counter("transport.channels_opened").value(), 1u);
+  EXPECT_EQ(bad_frames(), 0u);
+
+  // The channel is ready for data in both directions.
+  channel.send(to_bytes("ping"));
+  const auto sent = read_message(fd);
+  ASSERT_TRUE(sent.has_value());
+  EXPECT_EQ(*sent,
+            proto::encode_frame(proto::FrameKind::channel_data,
+                                to_bytes("ping")));
+  channel.close();
+  ::close(fd);
+}
+
+TEST_F(SocketFrameTest, ConnectDeliversDataCoalescedBehindChannelAccept) {
+  const int fd = connect_to_raw();
+  ASSERT_GE(fd, 0);
+  Bytes body;
+  append_u32(body, kRawDevice);
+  Bytes stream = stream_message(proto::FrameKind::channel_accept, body);
+  for (const char* text : {"hello", "world"}) {
+    const Bytes message = data_message(text);
+    stream.insert(stream.end(), message.begin(), message.end());
+  }
+  ASSERT_EQ(::send(fd, stream.data(), stream.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(stream.size()));
+  ASSERT_TRUE(pump_until([this] { return connected_.has_value(); }));
+  ASSERT_TRUE(bool(*connected_)) << connected_->error().to_string();
+  Channel channel = connected_->value();
+  std::vector<std::string> got;
+  channel.on_receive([&](BytesView payload) { got.push_back(to_text(payload)); });
+  ASSERT_TRUE(pump_until([&] { return got.size() == 2; }));
+  EXPECT_EQ(got, (std::vector<std::string>{"hello", "world"}));
+  EXPECT_EQ(bad_frames(), 0u);
+  channel.close();
+  ::close(fd);
+}
+
+TEST_F(SocketFrameTest, ConnectRejectThenCloseReportsTheSentErrc) {
+  const int fd = connect_to_raw();
+  ASSERT_GE(fd, 0);
+  const auto reason = static_cast<std::uint8_t>(Errc::radio_busy);
+  const Bytes reject = stream_message(proto::FrameKind::channel_reject,
+                                      BytesView(&reason, 1));
+  ASSERT_EQ(::send(fd, reject.data(), reject.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(reject.size()));
+  ::close(fd);
+  ASSERT_TRUE(pump_until([this] { return connected_.has_value(); }));
+  ASSERT_FALSE(bool(*connected_));
+  EXPECT_EQ(connected_->error().code, Errc::radio_busy);
+  EXPECT_EQ(transport_.open_channel_count(), 1u);  // the fixture's channel
+  EXPECT_EQ(bad_frames(), 0u);
+}
+
+TEST_F(SocketFrameTest, ConnectOversizedReplyIsProtocolErrorAndCounted) {
+  const int fd = connect_to_raw();
+  ASSERT_GE(fd, 0);
+  Bytes stream;
+  append_u32(stream, kMaxStreamFrame + 1);
+  stream.insert(stream.end(), 16, 0xAB);
+  ASSERT_EQ(::send(fd, stream.data(), stream.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(stream.size()));
+  ASSERT_TRUE(pump_until([this] { return connected_.has_value(); }));
+  ASSERT_FALSE(bool(*connected_));
+  EXPECT_EQ(connected_->error().code, Errc::protocol_error);
+  EXPECT_EQ(bad_frames(), 1u);
+  EXPECT_TRUE(pump_until([fd] { return at_eof(fd); }));
+  ::close(fd);
+}
+
+TEST(SocketHandshakeTimeoutTest, ConnectToSilentListenerTimesOut) {
+  std::optional<Result<Channel>> connected;  // outlives the transport
+  SocketTransport transport(fast_clock());
+  const DeviceId host = transport.add_device("host", nullptr);
+  Endpoint& endpoint = transport.add_endpoint(host, net::bluetooth_2_0());
+  const std::string path = stream_path(transport, kRawDevice);
+  const int listen_fd = listen_raw(path);
+  ASSERT_GE(listen_fd, 0);
+  Scheduler& scheduler = transport.scheduler();
+  const sim::Time started = scheduler.now();
+  endpoint.connect(kRawDevice, kPort,
+                   [&](Result<Channel> r) { connected = std::move(r); });
+  const int fd = ::accept4(listen_fd, nullptr, nullptr, SOCK_CLOEXEC);
+  ASSERT_GE(fd, 0);
+  EXPECT_TRUE(read_message(fd).has_value());  // channel_open; never answered
+  ASSERT_TRUE(
+      pump(scheduler, sim::seconds(60), [&] { return connected.has_value(); }));
+  ASSERT_FALSE(bool(*connected));
+  EXPECT_EQ(connected->error().code, Errc::timeout);
+  EXPECT_GE(scheduler.now() - started,
+            net::bluetooth_2_0().connect_latency + sim::seconds(10));
+  EXPECT_TRUE(at_eof(fd));
+  EXPECT_EQ(transport.open_channel_count(), 0u);
+  ::close(fd);
+  ::close(listen_fd);
+  ::unlink(path.c_str());
 }
 
 }  // namespace
