@@ -1,11 +1,11 @@
 // Infrastructure microbenchmarks (google-benchmark, wall-clock): the
 // simulation kernel's event throughput, the simulated transport seam, the
-// wire codecs and the telemetry scrape. Not tied to a thesis artifact —
-// these document the harness' own capacity, i.e. how large an overlay
-// simulation the repository can drive. The transport seam and codec
-// benchmarks also report `allocs_per_op`, heap allocations per iteration
-// counted by the tests/testutil operator-new interposer linked into this
-// binary.
+// socket channel and session echo, the wire codecs and the telemetry
+// scrape. Not tied to a thesis artifact — these document the harness' own
+// capacity, i.e. how large an overlay simulation the repository can drive.
+// The transport seam, socket and codec benchmarks also report
+// `allocs_per_op`, heap allocations per iteration counted by the
+// tests/testutil operator-new interposer linked into this binary.
 //
 // Set PH_METRICS_JSON=/path/out.json to also dump a
 // `sim.kernel.*` snapshot — one deterministic run of the schedule/run and
@@ -24,12 +24,14 @@
 #include "obs/bench_report.hpp"
 #include "obs/export.hpp"
 #include "obs/sampler.hpp"
+#include "peerhood/stack.hpp"
 #include "proto/daemon.hpp"
 #include "proto/messages.hpp"
 #include "sim/mobility.hpp"
 #include "sim/simulator.hpp"
 #include "tests/testutil/alloc_counter.hpp"
 #include "transport/sim_transport.hpp"
+#include "transport/socket_transport.hpp"
 
 using namespace ph;
 
@@ -304,6 +306,155 @@ void BM_SimChannelSend(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_SimChannelSend);
+
+// --- socket transport: channel and session echo ---------------------------
+// A closed echo loop over real UNIX-domain sockets in this process, shaped
+// like perfbench's `loopback`: one 64-byte message in flight, the peer's
+// handler echoes it and the reply handler sends the next. One iteration =
+// one echo: a write and an epoll wake on each side. The channel benchmark
+// drives transport::Channel directly; the session benchmark adds PeerHood
+// session framing (sequence numbers, acks, retransmit buffer), so their
+// difference is the session layer's cost.
+
+/// Pumps `scheduler` until `done()` or a minute of virtual time. Each step
+/// is one epoll wait that returns as soon as a socket is ready, so the
+/// time measured is the echo's, not a polling period's.
+template <typename Done>
+bool pump_socket(transport::Scheduler& scheduler, Done done) {
+  const sim::Time deadline = scheduler.now() + sim::minutes(1);
+  while (!done() && scheduler.now() < deadline) {
+    scheduler.run_until(scheduler.now() + sim::microseconds(1));
+  }
+  return done();
+}
+
+/// Runs the echo loop over `connection`, whose receive handler `attach`
+/// installs. Also reports `stream_writes_per_op`, the stream `::send`
+/// calls both sides made per echo.
+template <typename Connection, typename Attach>
+void run_echoes(benchmark::State& state, transport::SocketTransport& transport,
+                Connection& connection, Attach attach) {
+  transport::Scheduler& scheduler = transport.scheduler();
+  const obs::Counter& writes =
+      transport.registry().counter("transport.socket.stream_writes");
+  const Bytes payload(64, 0x5A);
+  std::size_t echoes = 0;
+  bool more = true;
+  attach([&](BytesView) {
+    ++echoes;
+    if (more) connection.send(payload);
+  });
+  connection.send(payload);
+  // Warm buffers before counting.
+  if (!pump_socket(scheduler, [&] { return echoes >= 64; })) {
+    state.SkipWithError("warm-up echo stalled");
+    more = false;
+  }
+  const std::uint64_t writes_before = writes.value();
+  const std::size_t allocs = testutil::allocations();
+  for (auto _ : state) {
+    if (!more) break;
+    const std::size_t before = echoes;
+    if (!pump_socket(scheduler, [&] { return echoes > before; })) {
+      state.SkipWithError("echo stalled");
+      break;
+    }
+  }
+  report_allocs(state, allocs);
+  state.counters["stream_writes_per_op"] = benchmark::Counter(
+      static_cast<double>(writes.value() - writes_before),
+      benchmark::Counter::kAvgIterations);
+  state.SetItemsProcessed(state.iterations());
+  // Land the message still in flight, then detach from this frame.
+  const std::size_t last = echoes;
+  more = false;
+  (void)pump_socket(scheduler, [&] { return echoes > last; });
+  attach([](BytesView) {});
+}
+
+void BM_SocketChannelEcho(benchmark::State& state) {
+  transport::SocketTransport transport;
+  const transport::DeviceId a = transport.add_device("a", nullptr);
+  const transport::DeviceId b = transport.add_device("b", nullptr);
+  transport::Endpoint& ea = transport.add_endpoint(a, net::bluetooth_2_0());
+  transport::Endpoint& eb = transport.add_endpoint(b, net::bluetooth_2_0());
+  transport::Channel server;
+  eb.listen(7, [&](transport::Channel channel) {
+    server = channel;
+    server.on_receive([&server](BytesView request) { server.send(request); });
+  });
+  transport::Channel client;
+  ea.connect(b, 7, [&](Result<transport::Channel> result) {
+    if (result) client = *result;
+  });
+  if (!pump_socket(transport.scheduler(), [&] { return client.open(); })) {
+    state.SkipWithError("channel did not open");
+    return;
+  }
+  run_echoes(state, transport, client, [&](auto handler) {
+    client.on_receive(std::move(handler));
+  });
+  client.close();
+  server.close();
+}
+BENCHMARK(BM_SocketChannelEcho);
+
+void BM_SocketSessionEcho(benchmark::State& state) {
+  transport::SocketTransportConfig config;
+  config.time_scale = 20.0;  // discovery rounds in wall milliseconds
+  transport::SocketTransport transport(config);
+  transport::Scheduler& scheduler = transport.scheduler();
+  net::TechProfile bt = net::bluetooth_2_0();
+  bt.inquiry_duration = sim::milliseconds(200);
+  bt.inquiry_detect_prob = 1.0;
+  peerhood::DaemonConfig daemon;
+  daemon.inquiry_interval = sim::seconds(1);
+  const auto make_stack = [&](const char* name) {
+    return std::make_unique<peerhood::Stack>(peerhood::StackConfig{}
+                                                 .with_name(name)
+                                                 .with_radios({bt})
+                                                 .with_daemon(daemon)
+                                                 .with_transport(transport));
+  };
+  auto a = make_stack("alpha");
+  auto b = make_stack("beta");
+  std::vector<peerhood::Connection> hosted;
+  const auto serve_echo = [&hosted](peerhood::Connection connection) {
+    hosted.push_back(connection);
+    connection.on_message([connection](BytesView request) mutable {
+      connection.send(request);
+    });
+  };
+  const bool registered =
+      b->library().register_service("echo", {}, serve_echo).ok();
+  if (!registered || !pump_socket(scheduler, [&] {
+        return !a->library().find_service("echo").empty();
+      })) {
+    state.SkipWithError("echo service not discovered");
+    return;
+  }
+  // Only the echo runs from here: no discovery rounds or pings.
+  a->daemon().stop();
+  b->daemon().stop();
+  scheduler.run_until(scheduler.now() + sim::seconds(1));
+  peerhood::ConnectOptions options;
+  options.seamless = false;  // no signal monitor timers
+  peerhood::Connection connection;
+  a->library().connect(b->id(), "echo", options,
+                       [&](Result<peerhood::Connection> result) {
+                         if (result) connection = *result;
+                       });
+  if (!pump_socket(scheduler, [&] { return connection.valid(); })) {
+    state.SkipWithError("session did not open");
+    return;
+  }
+  run_echoes(state, transport, connection, [&](auto handler) {
+    connection.on_message(std::move(handler));
+  });
+  connection.close();
+  hosted.clear();
+}
+BENCHMARK(BM_SocketSessionEcho);
 
 proto::Response heavy_response() {
   proto::Response response;

@@ -13,6 +13,10 @@
 // time_scale compresses protocol cadences: virtual seconds per wall
 // second, so discovery rounds designed for radio timescales finish in
 // milliseconds of wall clock.
+//
+// A failed check prints PH_CHECK's message and exits 1, but only after the
+// transport has closed its sockets and removed its rendezvous directory,
+// so a failing run leaves nothing behind in /tmp.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -69,6 +73,25 @@ struct OpTimer {
   }
 };
 
+/// The message PH_CHECK_MSG (or PH_CHECK, without `msg`) prints for a
+/// failed check at `line` of this file.
+std::string check_failure(const char* cond, const char* msg, int line) {
+  std::string text = std::string("PH_CHECK failed: ") + cond;
+  if (msg != nullptr) text += std::string(" (") + msg + ")";
+  return text + " at " + __FILE__ + ":" + std::to_string(line);
+}
+
+// Checks inside run(): a failure returns its message instead of aborting,
+// so every object run() built is destroyed before main reports it.
+#define LOOPBACK_CHECK(cond)                                     \
+  do {                                                           \
+    if (!(cond)) return check_failure(#cond, nullptr, __LINE__); \
+  } while (0)
+#define LOOPBACK_CHECK_MSG(cond, msg)                        \
+  do {                                                       \
+    if (!(cond)) return check_failure(#cond, msg, __LINE__); \
+  } while (0)
+
 template <typename Pred>
 bool pump_until(transport::Scheduler& scheduler, Pred pred,
                 sim::Duration limit) {
@@ -81,13 +104,8 @@ bool pump_until(transport::Scheduler& scheduler, Pred pred,
   return pred();
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const int devices = argc > 1 ? std::atoi(argv[1]) : 8;
-  const double time_scale = argc > 2 ? std::atof(argv[2]) : 200.0;
-  PH_CHECK_MSG(devices >= 2, "need at least two devices");
-
+/// The whole scenario; "" on success, else the failed check's message.
+std::string run(int devices, double time_scale) {
   transport::SocketTransportConfig config;
   config.time_scale = time_scale;
   config.seed = 42;
@@ -126,7 +144,7 @@ int main(int argc, char** argv) {
   for (int i = 1; i < devices; ++i) {
     peerhood::Stack& stack = *stacks[i];
     const std::string profile = "profile of " + stack.name();
-    PH_CHECK(bool(stack.library().register_service(
+    LOOPBACK_CHECK(bool(stack.library().register_service(
         "community", {{"user", stack.name()}},
         [&hosted, &stack, profile](peerhood::Connection connection) {
           hosted.push_back(connection);
@@ -156,7 +174,7 @@ int main(int argc, char** argv) {
       return tester.library().find_service("community").size() ==
              static_cast<std::size_t>(devices - 1);
     }, sim::seconds(60));
-    PH_CHECK_MSG(found, "search: not every host advertised in time");
+    LOOPBACK_CHECK_MSG(found, "search: not every host advertised in time");
     timer.report("search");
   }
 
@@ -166,25 +184,32 @@ int main(int argc, char** argv) {
     OpTimer timer(scheduler);
     for (const auto& [device, service] :
          tester.library().find_service("community")) {
-      peerhood::Connection conn;
-      bool failed = false;
+      // Shared with the callback, which may still fire after a failed
+      // check has returned.
+      struct Join {
+        peerhood::Connection conn;
+        bool failed = false;
+      };
+      auto join = std::make_shared<Join>();
       tester.library().connect(device.id, "community", {},
-                               [&](Result<peerhood::Connection> result) {
+                               [join](Result<peerhood::Connection> result) {
                                  if (result.ok()) {
-                                   conn = *result;
+                                   join->conn = *result;
                                  } else {
-                                   failed = true;
+                                   join->failed = true;
                                  }
                                });
-      PH_CHECK_MSG(pump_until(scheduler,
-                              [&] { return conn.valid() || failed; },
-                              sim::seconds(30)) && !failed,
-                   "join: session open failed");
-      sessions.push_back(conn);
+      LOOPBACK_CHECK_MSG(
+          pump_until(scheduler,
+                     [&] { return join->conn.valid() || join->failed; },
+                     sim::seconds(30)) &&
+              !join->failed,
+          "join: session open failed");
+      sessions.push_back(join->conn);
     }
     timer.report("join");
   }
-  PH_CHECK(sessions.size() == static_cast<std::size_t>(devices - 1));
+  LOOPBACK_CHECK(sessions.size() == static_cast<std::size_t>(devices - 1));
 
   // -- member list: ask every host for its neighbour view -------------------
   {
@@ -194,10 +219,10 @@ int main(int argc, char** argv) {
       session.on_message([&replies](BytesView) { ++replies; });
       session.send(to_bytes("members?"));
     }
-    PH_CHECK_MSG(pump_until(scheduler,
-                            [&] { return replies == devices - 1; },
-                            sim::seconds(30)),
-                 "member list: missing replies");
+    LOOPBACK_CHECK_MSG(pump_until(scheduler,
+                                  [&] { return replies == devices - 1; },
+                                  sim::seconds(30)),
+                       "member list: missing replies");
     timer.report("member list");
   }
 
@@ -208,11 +233,12 @@ int main(int argc, char** argv) {
     sessions[0].on_message(
         [&profile](BytesView reply) { profile = to_text(reply); });
     sessions[0].send(to_bytes("profile?"));
-    PH_CHECK_MSG(pump_until(scheduler, [&] { return !profile.empty(); },
-                            sim::seconds(30)),
-                 "profile: no reply");
-    PH_CHECK_MSG(profile.rfind("profile of ", 0) == 0,
-                 "profile: unexpected payload");
+    LOOPBACK_CHECK_MSG(
+        pump_until(scheduler, [&] { return !profile.empty(); },
+                   sim::seconds(30)),
+        "profile: no reply");
+    LOOPBACK_CHECK_MSG(profile.rfind("profile of ", 0) == 0,
+                       "profile: unexpected payload");
     timer.report("profile");
   }
 
@@ -222,14 +248,15 @@ int main(int argc, char** argv) {
   const obs::Histogram& rtt = registry.histogram("transport.channel_rtt_us");
   const obs::Histogram& lag =
       registry.histogram("transport.socket.loop.lag_us");
-  PH_CHECK_MSG(pump_until(scheduler, [&] { return rtt.count() > 0; },
-                          sim::seconds(300)),
-               "telemetry: no channel RTT samples arrived");
+  LOOPBACK_CHECK_MSG(pump_until(scheduler, [&] { return rtt.count() > 0; },
+                                sim::seconds(300)),
+                     "telemetry: no channel RTT samples arrived");
 
   for (auto& session : sessions) session.close();
   pump_until(scheduler, [] { return false; }, sim::milliseconds(500));
 
-  PH_CHECK_MSG(lag.count() > 0, "telemetry: loop-lag histogram is empty");
+  LOOPBACK_CHECK_MSG(lag.count() > 0,
+                     "telemetry: loop-lag histogram is empty");
   const double wall_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     bench_wall_start)
@@ -263,7 +290,21 @@ int main(int argc, char** argv) {
   report.info["rtt_p95_us"] = rtt.p95();
   report.info["rtt_p99_us"] = rtt.p99();
   report.info["loop_lag_p95_us"] = lag.p95();
-  PH_CHECK(obs::dump_bench_report_if_requested(report, &registry,
-                                               transport.sampler()));
+  LOOPBACK_CHECK(obs::dump_bench_report_if_requested(report, &registry,
+                                                     transport.sampler()));
+  return "";
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  const int devices = argc > 1 ? std::atoi(argv[1]) : 8;
+  const double time_scale = argc > 2 ? std::atof(argv[2]) : 200.0;
+  PH_CHECK_MSG(devices >= 2, "need at least two devices");
+  const std::string failure = run(devices, time_scale);
+  if (!failure.empty()) {
+    std::fprintf(stderr, "%s\n", failure.c_str());
+    return 1;
+  }
   return 0;
 }

@@ -1,5 +1,6 @@
 #include <algorithm>
 #include <array>
+#include <iterator>
 
 #include "peerhood/session_state.hpp"
 #include "sim/backoff.hpp"
@@ -19,13 +20,12 @@ void put_header(std::uint8_t* out, const SessionWire& wire) {
 }
 }  // namespace
 
-Bytes encode(const SessionWire& wire) {
-  Bytes frame;
-  frame.reserve(kSessionHeaderSize + wire.payload.size());
-  frame.resize(kSessionHeaderSize);
-  put_header(frame.data(), wire);
-  frame.insert(frame.end(), wire.payload.begin(), wire.payload.end());
-  return frame;
+void encode(const SessionWire& wire, Bytes& out) {
+  out.clear();
+  out.reserve(kSessionHeaderSize + wire.payload.size());
+  out.resize(kSessionHeaderSize);
+  put_header(out.data(), wire);
+  out.insert(out.end(), wire.payload.begin(), wire.payload.end());
 }
 
 Result<SessionWire> decode_session_wire(BytesView data) {
@@ -99,7 +99,9 @@ void SessionState::send_payload(BytesView payload) {
   // the frame is retransmitted over a different channel after handover.
   wire.trace = journal().current_context();
   wire.payload = payload;
-  unacked.push_back({wire.seq, encode(wire)});
+  Bytes frame = std::move(spare_frame);  // leaves the spare empty
+  encode(wire, frame);
+  unacked.push_back({wire.seq, std::move(frame)});
   // Dropped when the channel is down; resume retransmits.
   if (channel.open()) channel.send(unacked.back().frame);
 }
@@ -169,25 +171,27 @@ void SessionState::handle_wire(const SessionWire& wire) {
       send_control(SessionOp::ack, last_delivered);
       break;
     }
-    case SessionOp::ack: {
-      auto acked = std::find_if(
-          unacked.begin(), unacked.end(),
-          [&wire](const Outstanding& entry) { return entry.seq > wire.seq; });
-      unacked.erase(unacked.begin(), acked);
+    case SessionOp::ack:
+      release_through(wire.seq);
       break;
-    }
     case SessionOp::close:
       finish(Error{Errc::ok});
       break;
   }
 }
 
+void SessionState::release_through(std::uint32_t seq) {
+  auto acked = std::find_if(
+      unacked.begin(), unacked.end(),
+      [seq](const Outstanding& entry) { return entry.seq > seq; });
+  if (acked != unacked.begin()) {
+    spare_frame = std::move(std::prev(acked)->frame);
+  }
+  unacked.erase(unacked.begin(), acked);
+}
+
 void SessionState::retransmit_from(std::uint32_t peer_last_delivered) {
-  auto delivered = std::find_if(
-      unacked.begin(), unacked.end(), [&](const Outstanding& entry) {
-        return entry.seq > peer_last_delivered;
-      });
-  unacked.erase(unacked.begin(), delivered);
+  release_through(peer_last_delivered);
   for (const auto& entry : unacked) {
     if (channel.open()) channel.send(entry.frame);
   }

@@ -45,8 +45,9 @@ struct SessionWire {
   BytesView payload;
 };
 
-/// The whole frame, header plus payload, in one allocation.
-Bytes encode(const SessionWire& wire);
+/// The whole frame, header plus payload, into `out` (replacing its
+/// contents); allocates only when `out` lacks the capacity.
+void encode(const SessionWire& wire, Bytes& out);
 Result<SessionWire> decode_session_wire(BytesView data);
 
 struct SessionState : std::enable_shared_from_this<SessionState> {
@@ -78,6 +79,9 @@ struct SessionState : std::enable_shared_from_this<SessionState> {
     Bytes frame;
   };
   std::vector<Outstanding> unacked;  // ascending seq
+  /// The buffer of the newest acknowledged frame, reused by the next
+  /// send_payload so a warm session sends without allocating.
+  Bytes spare_frame;
   struct Arrival {
     Bytes payload;
     std::uint64_t trace = 0;  ///< remote sender's span, from the wire
@@ -125,6 +129,9 @@ struct SessionState : std::enable_shared_from_this<SessionState> {
   void schedule_resume_retry();
   void arm_monitor();
   void check_signal();
+  /// Drops the unacked frames up to `seq`, keeping the newest one's buffer
+  /// as the spare.
+  void release_through(std::uint32_t seq);
   void retransmit_from(std::uint32_t peer_last_delivered);
   void arm_server_wait();
 };

@@ -204,6 +204,11 @@ namespace {
 /// Handshake and data frames share one reader (handle_io + deliver_frames)
 /// and one writer (out_buf_ + flush); only an open stream is a Channel the
 /// layers above can see.
+///
+/// One write per delivery: frames queued while deliver_frames runs (a
+/// session reply and its ack, a pong, a handshake reply) go out in one
+/// send when the delivery ends. A send made outside a delivery writes at
+/// once, so no frame waits for a later loop turn.
 class SocketChannelState final
     : public detail::ChannelState,
       public std::enable_shared_from_this<SocketChannelState> {
@@ -216,7 +221,11 @@ class SocketChannelState final
       std::function<void(SocketChannelState&, Result<proto::FrameView>)>;
 
   SocketChannelState(SocketTransport& transport, int fd, net::Technology tech)
-      : transport_(transport), fd_(fd), tech_(tech) {}
+      : transport_(transport), fd_(fd), tech_(tech) {
+    // Room for one whole read: a wake that finds the buffer drained never
+    // grows it, so the steady state of small messages does not allocate.
+    in_buf_.reserve(kReadChunk);
+  }
 
   ~SocketChannelState() override {
     if (fd_ >= 0) ::close(fd_);
@@ -255,7 +264,8 @@ class SocketChannelState final
   /// Wall µs at which the opening phase started (handshake latency).
   std::uint64_t started_wall_us() const noexcept { return started_wall_; }
 
-  /// Queues one frame and writes what the socket takes.
+  /// Queues one frame; outside a delivery, also writes what the socket
+  /// takes.
   void send_frame(proto::FrameKind kind, BytesView payload);
 
   /// The stream is unusable. An opening stream closes and hands `why` to
@@ -278,6 +288,8 @@ class SocketChannelState final
 
  private:
   enum class Phase : std::uint8_t { opening, open, closed };
+  /// Bytes one recv asks for.
+  static constexpr std::size_t kReadChunk = 16384;
 
   void handle_io(std::uint32_t events);
   void deliver_frames();
@@ -295,6 +307,7 @@ class SocketChannelState final
   bool want_write_ = false;
   bool peer_gone_ = false;     // EOF/hard error seen; break after delivery
   bool drain_pending_ = false; // a schedule(0) drain is already queued
+  bool delivering_ = false;    // in deliver_frames: sends queue, flush after
   sim::EventId open_timer_ = 0;
   std::uint64_t started_wall_ = 0;
   Bytes in_buf_;
@@ -331,8 +344,15 @@ void SocketChannelState::chan_send(BytesView payload) {
   // EOF the peer is gone and a write would EPIPE-break the channel before
   // its buffered tail frames were delivered.
   if (phase_ != Phase::open || peer_gone_) return;
-  const std::size_t queued = out_buf_.size() - out_pos_;
-  if (queued + stream_message_size(payload) > kMaxSendQueue) {
+  const std::size_t size = stream_message_size(payload);
+  if (delivering_ && send_queue_bytes() + size > kMaxSendQueue) {
+    // Deferring must not overflow where writing at once would not: write
+    // what the socket takes before judging the queue.
+    flush();
+    if (phase_ != Phase::open) return;
+  }
+  const std::size_t queued = send_queue_bytes();
+  if (queued + size > kMaxSendQueue) {
     // The peer has stopped reading: buffering on would grow without bound.
     transport_.note_send_queue_overflow();
     PH_LOG(warn, "socket") << "channel to device " << remote_
@@ -355,7 +375,7 @@ void SocketChannelState::send_ping(std::uint64_t wall_us) {
 
 void SocketChannelState::send_frame(proto::FrameKind kind, BytesView payload) {
   append_stream_message(out_buf_, kind, payload);
-  flush();
+  if (!delivering_) flush();
 }
 
 void SocketChannelState::flush() {
@@ -364,6 +384,7 @@ void SocketChannelState::flush() {
     const ssize_t n =
         ::send(fd_, out_buf_.data() + out_pos_, remaining, MSG_NOSIGNAL);
     if (n > 0) {
+      transport_.note_stream_write();
       if (static_cast<std::size_t>(n) < remaining) {
         transport_.note_partial_write();
       }
@@ -407,11 +428,15 @@ void SocketChannelState::handle_io(std::uint32_t events) {
   // EPOLLERR/EPOLLHUP also take the read path: recv drains whatever the
   // peer sent before resetting, then reports EOF, which breaks the channel.
   if (events & (EPOLLIN | EPOLLERR | EPOLLHUP)) {
-    std::uint8_t buf[16384];
+    std::uint8_t buf[kReadChunk];
     for (;;) {
       const ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
       if (n > 0) {
         in_buf_.insert(in_buf_.end(), buf, buf + n);
+        // A short read emptied the socket: stop without the recv that
+        // would only say EAGAIN. epoll is level-triggered, so bytes or an
+        // EOF that arrive meanwhile wake this fd again.
+        if (static_cast<std::size_t>(n) < sizeof(buf)) break;
         continue;
       }
       if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
@@ -439,18 +464,20 @@ void SocketChannelState::handle_io(std::uint32_t events) {
 /// goes to its opening handler; after that, data frames are delivered. A
 /// data frame is never consumed while no receive handler is installed —
 /// it stays buffered until chan_on_receive drains it — preserving the
-/// exactly-once in-order contract. Once the peer is gone the stream fails
+/// exactly-once in-order contract. Frames sent meanwhile are queued and
+/// written in one flush at the end. Once the peer is gone the stream fails
 /// only after everything deliverable has been delivered.
 void SocketChannelState::deliver_frames() {
   std::size_t pos = 0;
   bool stalled = false;
+  delivering_ = true;
   while (phase_ != Phase::closed && in_buf_.size() - pos >= 4) {
     const std::uint32_t len =
         *proto::Reader(BytesView(in_buf_).subspan(pos, 4)).u32();
     if (len > kMaxStreamFrame) {
       transport_.note_bad_frame();
       fail(Error{Errc::protocol_error, "stream frame over kMaxStreamFrame"});
-      return;
+      break;
     }
     if (in_buf_.size() - pos - 4 < len) break;
     const BytesView frame_bytes = BytesView(in_buf_).subspan(pos + 4, len);
@@ -460,7 +487,7 @@ void SocketChannelState::deliver_frames() {
       if (!frame) {
         transport_.note_bad_frame();
         fail(std::move(frame).error());
-        return;
+        break;
       }
       auto handler = std::move(on_opening_);
       on_opening_ = nullptr;
@@ -500,6 +527,11 @@ void SocketChannelState::deliver_frames() {
     on_receive_(frame->payload);
   }
   if (pos > 0) in_buf_.erase(in_buf_.begin(), in_buf_.begin() + pos);
+  delivering_ = false;
+  // The delivery's one write, before any break: a handshake reply to a
+  // peer that half-closed after channel_open still reaches it. A socket
+  // already waiting for EPOLLOUT takes the queue when it drains.
+  if (phase_ != Phase::closed && !want_write_) flush();
   if (phase_ != Phase::closed && peer_gone_ && !stalled) {
     // Bytes left at EOF are a frame the peer cut off mid-write.
     if (!in_buf_.empty()) transport_.note_bad_frame();
@@ -525,6 +557,7 @@ void SocketChannelState::chan_close() {
     const ssize_t n = ::send(fd_, out_buf_.data() + out_pos_,
                              out_buf_.size() - out_pos_, MSG_NOSIGNAL);
     if (n <= 0) break;
+    transport_.note_stream_write();
     out_pos_ += static_cast<std::size_t>(n);
   }
   close_fd();
@@ -865,8 +898,9 @@ void SocketTransport::SocketEndpoint::answer_channel_open(
   }
   std::uint8_t reply[4];
   proto::store_le(reply, device_);
+  // Queued, not yet written: it goes out with whatever the listener sends
+  // in this delivery.
   state.send_frame(proto::FrameKind::channel_accept, reply);
-  if (!state.opening()) return;  // the peer vanished before the reply went out
   state.establish(src);
   AcceptHandler handler = listener->second;  // copy — may stop_listen inside
   t_.metrics_.channels_accepted->inc();
@@ -963,6 +997,7 @@ SocketTransport::SocketTransport(SocketTransportConfig config)
   h_loop_lag_ = &registry_.histogram("transport.socket.loop.lag_us");
   h_loop_dispatch_ = &registry_.histogram("transport.socket.loop.dispatch_us");
   g_wait_stall_ = &registry_.gauge("transport.socket.loop.wait_stall_us");
+  c_stream_writes_ = &registry_.counter("transport.socket.stream_writes");
   c_partial_writes_ = &registry_.counter("transport.socket.partial_writes");
   c_backpressure_ = &registry_.counter("transport.socket.backpressure");
   c_send_queue_overflows_ =
@@ -1033,7 +1068,8 @@ void SocketTransport::watch_fd(int fd, std::uint32_t events,
   ev.data.u64 = token;
   PH_CHECK_MSG(::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) == 0,
                "epoll_ctl(ADD) failed");
-  watch_handlers_[token] = std::move(handler);
+  watch_handlers_[token] =
+      std::make_shared<std::function<void(std::uint32_t)>>(std::move(handler));
   fd_tokens_[fd] = token;
 }
 
@@ -1078,11 +1114,13 @@ void SocketTransport::pump_epoll(int timeout_ms) {
     // retired token makes the stale event drop instead of misrouting.
     auto it = watch_handlers_.find(events[i].data.u64);
     if (it == watch_handlers_.end()) continue;
-    auto handler = it->second;  // copy — the handler may erase itself
+    // A second reference, not a copy of the closure: the handler may
+    // unwatch its own fd, and must outlive that.
+    const WatchHandler handler = it->second;
     const std::uint64_t t0 = wall_clock_.now();
     {
       const obs::prof::Scope io(obs::prof::Center::transport_io);
-      handler(events[i].events);
+      (*handler)(events[i].events);
     }
     h_loop_dispatch_->observe(static_cast<double>(wall_clock_.now() - t0));
   }
@@ -1104,6 +1142,8 @@ void SocketTransport::note_channel_break() {
 void SocketTransport::note_bad_frame() { metrics_.bad_frames->inc(); }
 
 void SocketTransport::note_partial_write() { c_partial_writes_->inc(); }
+
+void SocketTransport::note_stream_write() { c_stream_writes_->inc(); }
 
 void SocketTransport::note_send_queue_overflow() {
   c_send_queue_overflows_->inc();

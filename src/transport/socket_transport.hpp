@@ -144,6 +144,7 @@ class SocketTransport final : public Transport {
   void note_channel_receive(std::size_t bytes);
   void note_channel_break();
   void note_bad_frame();
+  void note_stream_write();
   void note_partial_write();
   void note_send_queue_overflow();
   void note_backpressure();
@@ -176,9 +177,11 @@ class SocketTransport final : public Transport {
   /// events for an fd closed earlier in the same epoll_wait batch, and the
   /// fd number can be recycled by a socket opened from a handler — a stale
   /// event must not reach the new fd's handler. fd_tokens_ maps live fds
-  /// back to their token for rearm_fd/unwatch_fd.
+  /// back to their token for rearm_fd/unwatch_fd. Each handler sits behind
+  /// a shared_ptr, so dispatch pins it by refcount instead of copying it.
+  using WatchHandler = std::shared_ptr<std::function<void(std::uint32_t)>>;
   std::uint64_t next_watch_token_ = 1;
-  std::map<std::uint64_t, std::function<void(std::uint32_t)>> watch_handlers_;
+  std::map<std::uint64_t, WatchHandler> watch_handlers_;
   std::map<int, std::uint64_t> fd_tokens_;
 
   obs::Registry registry_;
@@ -200,6 +203,7 @@ class SocketTransport final : public Transport {
   obs::Histogram* h_loop_lag_ = nullptr;       ///< timer fire lag, wall µs
   obs::Histogram* h_loop_dispatch_ = nullptr;  ///< handler run time, wall µs
   obs::Gauge* g_wait_stall_ = nullptr;         ///< epoll_wait overshoot, µs
+  obs::Counter* c_stream_writes_ = nullptr;    ///< successful stream ::send
   obs::Counter* c_partial_writes_ = nullptr;
   obs::Counter* c_backpressure_ = nullptr;
   obs::Counter* c_send_queue_overflows_ = nullptr;  ///< see kMaxSendQueue

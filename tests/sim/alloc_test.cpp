@@ -12,7 +12,7 @@
 // The same interposer pins the profiler's hot paths, obs::Sampler's
 // steady-state scrape, the spatial grid's rebuild, the wire codecs, the
 // Medium's signal memo and the message path from link receive handler up
-// to a community RPC.
+// to a community RPC, and a warm session echo on both substrates.
 //
 // Lives in its own binary: the interposer is process-global and must not
 // contaminate unrelated tests.
@@ -35,6 +35,7 @@
 #include "sim/simulator.hpp"
 #include "tests/testutil/alloc_counter.hpp"
 #include "transport/sim_transport.hpp"
+#include "transport/socket_transport.hpp"
 
 namespace ph::sim {
 namespace {
@@ -424,7 +425,7 @@ TEST(SessionAllocation, OnMessageIsCalledWithoutCopyingIt) {
   world.simulator.run_for(sim::seconds(1));
   ASSERT_TRUE(connection.open());
   const Bytes payload(64, 0x5A);
-  for (int i = 0; i < 64; ++i) {  // warm: pools, unacked queue capacity
+  for (int i = 0; i < 64; ++i) {  // warm: pools, unacked queue, spare frame
     connection.send(payload);
     world.simulator.run_for(sim::milliseconds(200));
   }
@@ -435,10 +436,83 @@ TEST(SessionAllocation, OnMessageIsCalledWithoutCopyingIt) {
       world.simulator.run_for(sim::milliseconds(200));
     }
   });
-  // Exactly the data frame the sender keeps until it is acknowledged;
-  // receive, delivery to on_message and both acks allocate nothing.
-  EXPECT_EQ(made, kMessages);
+  // The data frame the sender keeps until it is acknowledged reuses the
+  // buffer of an acknowledged one; receive, delivery to on_message and
+  // both acks allocate nothing.
+  EXPECT_EQ(made, 0u);
   EXPECT_EQ(*received, 64 + kMessages);
+}
+
+TEST(SocketSessionAllocation, WarmEchoAllocatesNothing) {
+  // One PeerHood session over real UNIX-domain sockets, one 64 B message
+  // in flight, echoed by the peer. Daemons are stopped once discovery is
+  // done, so the loop carries only the echo: its frames, the acks, the fd
+  // dispatch and the session frames must all run on reused buffers.
+  transport::SocketTransportConfig config;
+  config.time_scale = 20.0;  // discovery rounds in wall milliseconds
+  transport::SocketTransport transport(config);
+  transport::Scheduler& scheduler = transport.scheduler();
+  net::TechProfile bt = lossless_bt();
+  bt.inquiry_duration = sim::milliseconds(200);
+  peerhood::DaemonConfig daemon;
+  daemon.inquiry_interval = sim::seconds(1);
+  const auto make_stack = [&](const char* name) {
+    return std::make_unique<peerhood::Stack>(peerhood::StackConfig{}
+                                                 .with_name(name)
+                                                 .with_radios({bt})
+                                                 .with_daemon(daemon)
+                                                 .with_transport(transport));
+  };
+  auto a = make_stack("alpha");
+  auto b = make_stack("beta");
+  std::vector<peerhood::Connection> hosted;
+  const auto serve_echo = [&hosted](peerhood::Connection connection) {
+    hosted.push_back(connection);
+    connection.on_message([connection](BytesView request) mutable {
+      connection.send(request);
+    });
+  };
+  ASSERT_TRUE(b->library().register_service("echo", {}, serve_echo).ok());
+  // Pumps the loop until `done` or a minute of virtual time (3 s wall).
+  const auto pump = [&](auto done) {
+    const sim::Time deadline = scheduler.now() + sim::minutes(1);
+    while (!done() && scheduler.now() < deadline) {
+      scheduler.run_until(scheduler.now() + sim::milliseconds(1));
+    }
+    return done();
+  };
+  ASSERT_TRUE(pump([&] { return !a->library().find_service("echo").empty(); }));
+  a->daemon().stop();
+  b->daemon().stop();
+  scheduler.run_until(scheduler.now() + sim::seconds(1));  // drain
+  peerhood::ConnectOptions options;
+  options.seamless = false;  // no signal monitor timers
+  peerhood::Connection connection;
+  a->library().connect(b->id(), "echo", options,
+                       [&](Result<peerhood::Connection> result) {
+                         ASSERT_TRUE(result.ok());
+                         connection = *result;
+                       });
+  ASSERT_TRUE(pump([&] { return connection.valid(); }));
+  std::size_t echoes = 0;
+  connection.on_message([&echoes](BytesView) { ++echoes; });
+  const Bytes payload(64, 0x5A);
+  bool stalled = false;
+  const auto echo = [&] {
+    const std::size_t before = echoes;
+    connection.send(payload);
+    stalled = stalled || !pump([&] { return echoes > before; });
+  };
+  for (int i = 0; i < 64; ++i) echo();  // warm
+  constexpr std::size_t kMessages = 500;
+  const std::size_t made = allocations_during([&] {
+    for (std::size_t i = 0; i < kMessages; ++i) echo();
+  });
+  EXPECT_FALSE(stalled);
+  EXPECT_EQ(echoes, 64 + kMessages);
+  EXPECT_EQ(made, 0u) << "per echo: " << static_cast<double>(made) / kMessages;
+  connection.close();
+  hosted.clear();
 }
 
 TEST(CommunityAllocation, SteadyStateRpcStaysWithinBudget) {

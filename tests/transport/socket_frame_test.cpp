@@ -14,17 +14,24 @@
 // treatment from both sides: a raw peer dials the endpoint's stream
 // socket (accept side), and a raw listener bound where the endpoint
 // expects a peer device answers its connect (connect side).
+//
+// The write and read rules are pinned through
+// transport.socket.stream_writes rather than timing: frames a receive
+// turn queues leave in one send, a send outside a delivery leaves at once,
+// and a short read ends the read loop.
 #include <gtest/gtest.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "proto/frame.hpp"
@@ -261,8 +268,24 @@ class SocketFrameTest : public ::testing::Test {
     return fd;
   }
 
-  std::uint64_t bad_frames() {
-    return transport_.registry().counter("transport.bad_frames").value();
+  std::uint64_t counter(const char* name) {
+    return transport_.registry().counter(name).value();
+  }
+
+  std::uint64_t bad_frames() { return counter("transport.bad_frames"); }
+
+  std::uint64_t stream_writes() {
+    return counter("transport.socket.stream_writes");
+  }
+
+  /// The raw peer's next message on fd_, as the payload text of a
+  /// channel_data frame; "" on anything else.
+  std::string read_data() {
+    const auto message = read_message(fd_);
+    if (!message) return "";
+    auto frame = proto::decode_frame(*message);
+    if (!frame || frame->kind != proto::FrameKind::channel_data) return "";
+    return to_text(frame->payload);
   }
 
   /// Declared before transport_, which outlives it: a connect still
@@ -377,9 +400,6 @@ TEST_F(SocketFrameTest, SlowReaderIsBoundedAndOtherChannelsKeepFlowing) {
   other.on_receive(
       [&](BytesView payload) { other_got.push_back(to_text(payload)); });
 
-  const auto counter = [this](const char* name) {
-    return transport_.registry().counter(name).value();
-  };
   const Bytes frame(64 * 1024, 0xAB);
   // Twice the queue bound: a sender without one would buffer all of it.
   const std::size_t max_sends = 2 * kMaxSendQueue / frame.size();
@@ -417,6 +437,108 @@ TEST_F(SocketFrameTest, SlowReaderIsBoundedAndOtherChannelsKeepFlowing) {
             static_cast<ssize_t>(reply.size()));
   EXPECT_EQ(reply, expected);
   ::close(other_fd);
+}
+
+// --- write and read rules --------------------------------------------------
+
+TEST_F(SocketFrameTest, FramesSentInOneDeliveryLeaveInOneWrite) {
+  server_.on_receive([this](BytesView payload) {
+    got_.push_back(to_text(payload));
+    server_.send(to_bytes("first"));
+    server_.send(to_bytes("second"));
+  });
+  const std::uint64_t before = stream_writes();
+  write_raw(data_message("go"));
+  ASSERT_TRUE(pump_until([&] { return stream_writes() > before; }));
+  EXPECT_EQ(stream_writes() - before, 1u);
+  EXPECT_EQ(got_, std::vector<std::string>{"go"});
+  EXPECT_EQ(read_data(), "first");
+  EXPECT_EQ(read_data(), "second");
+}
+
+TEST_F(SocketFrameTest, SendOutsideADeliveryIsWrittenAtOnce) {
+  const std::uint64_t before = stream_writes();
+  server_.send(to_bytes("now"));
+  // No loop turn in between: the bytes are already in the peer's socket.
+  const Bytes expected = data_message("now");
+  Bytes got(expected.size());
+  ASSERT_EQ(::recv(fd_, got.data(), got.size(), MSG_DONTWAIT),
+            static_cast<ssize_t>(got.size()));
+  EXPECT_EQ(got, expected);
+  EXPECT_EQ(stream_writes() - before, 1u);
+}
+
+TEST_F(SocketFrameTest, SendThenCloseInAHandlerReachesThePeerBeforeEof) {
+  server_.on_receive([this](BytesView) {
+    server_.send(to_bytes("bye"));
+    server_.close();
+  });
+  write_raw(data_message("go"));
+  ASSERT_TRUE(pump_until([this] { return !server_.open(); }));
+  EXPECT_EQ(read_data(), "bye");
+  EXPECT_TRUE(at_eof(fd_));
+  EXPECT_FALSE(broke_);  // a local close is not a break
+}
+
+TEST_F(SocketFrameTest, DataThenHalfCloseInOneBurstIsAnsweredThenBreaks) {
+  // Data and EOF are both queued before the loop runs. The first read is
+  // short and stops there, so the frames are delivered (and answered)
+  // while the peer still counts as present; the EOF breaks the channel on
+  // the next wake.
+  server_.on_receive([this](BytesView payload) {
+    got_.push_back(to_text(payload));
+    server_.send(to_bytes("re:" + to_text(payload)));
+  });
+  Bytes stream = data_message("x");
+  const Bytes y = data_message("y");
+  stream.insert(stream.end(), y.begin(), y.end());
+  write_raw(stream);
+  ASSERT_EQ(::shutdown(fd_, SHUT_WR), 0);
+  ASSERT_TRUE(pump_until([this] { return broke_; }));
+  EXPECT_EQ(got_, (std::vector<std::string>{"x", "y"}));
+  EXPECT_EQ(read_data(), "re:x");
+  EXPECT_EQ(read_data(), "re:y");
+  EXPECT_TRUE(at_eof(fd_));
+  EXPECT_EQ(bad_frames(), 0u);
+}
+
+TEST_F(SocketFrameTest, LargeSendsInOneDeliveryDoNotOverflowAReadingPeer) {
+  // Three messages of one delivery add up to just past kMaxSendQueue.
+  // Written at once, the first send's write would make room; a deferred
+  // send must likewise write what the socket takes before judging the
+  // queue, not break the channel.
+  constexpr std::size_t kHeader = 4 + proto::kFrameHeaderSize;
+  const std::size_t big = 11u << 20;
+  const std::size_t last = kMaxSendQueue + 4096 - 3 * kHeader - 2 * big;
+  const std::vector<Bytes> payloads = {Bytes(big, 0x11), Bytes(big, 0x22),
+                                       Bytes(last, 0x33)};
+  server_.on_receive([&](BytesView) {
+    for (const Bytes& payload : payloads) server_.send(payload);
+  });
+  std::vector<Bytes> read;
+  std::atomic<bool> reader_done{false};
+  std::thread reader([&] {
+    for (std::size_t i = 0; i < payloads.size(); ++i) {
+      auto message = read_message(fd_);
+      if (!message) break;  // EOF: the channel broke
+      read.push_back(std::move(*message));
+    }
+    reader_done = true;
+  });
+  write_raw(data_message("go"));
+  const bool drained = pump_until([&] { return reader_done.load(); });
+  if (!drained) ::shutdown(fd_, SHUT_RD);  // unblock the reader
+  reader.join();
+  ASSERT_TRUE(drained);
+  EXPECT_EQ(counter("transport.socket.send_queue_overflows"), 0u);
+  EXPECT_TRUE(server_.open());
+  EXPECT_FALSE(broke_);
+  ASSERT_EQ(read.size(), payloads.size());
+  for (std::size_t i = 0; i < payloads.size(); ++i) {
+    EXPECT_EQ(read[i],
+              proto::encode_frame(proto::FrameKind::channel_data, payloads[i]))
+        << "message " << i;
+  }
 }
 
 // --- accept side: a raw peer dials the endpoint --------------------------
